@@ -47,19 +47,15 @@ FLAGS (simulate / compare):
   --threads <n>           compare only: worker threads for the scheme
                           grid (default PROTEAN_THREADS, then the
                           machine's available parallelism)
-  --shards <n>            engine shards; 1 = sequential engine
+  --shards <n>            engine shards; 1 = one inline shard
                           (default 1; results are bit-identical;
                           0 is rejected — there is no zero-shard run)
   --shard-threads <n>     OS threads driving the shard phases
                           (default 1 = inline; 0 = auto, the machine's
                           available parallelism)
-  --max-epoch-arrivals <n> arrival-run coarsening cap for the sharded
-                          engine; 0 and 1 both mean one epoch per
-                          arrival, no coarsening (default 64)
-  --coalesce-expiries <bool> sharded engine: admit batch-window expiry
-                          dispatches into coarsened runs (default true;
-                          false = every expiry is its own epoch; both
-                          settings are bit-identical)
+  --max-epoch-arrivals <n> dispatch-run coarsening cap; 0 and 1 both
+                          mean one epoch per dispatch event, no
+                          coarsening (default 64)
   --availability <a>      high | medium | low (default high)
   --per-model <bool>      simulate only: also print a per-model table
 
@@ -81,7 +77,7 @@ FLAGS (scenario list / scenario run):
 ";
 
 /// Flags shared by `simulate` and `compare`.
-const RUN_FLAGS: [&str; 15] = [
+const RUN_FLAGS: [&str; 14] = [
     "model",
     "scheme",
     "trace",
@@ -96,9 +92,8 @@ const RUN_FLAGS: [&str; 15] = [
     "shards",
     "shard-threads",
     "max-epoch-arrivals",
-    "coalesce-expiries",
 ];
-const RUN_FLAGS_EXT: [&str; 17] = [
+const RUN_FLAGS_EXT: [&str; 16] = [
     "model",
     "scheme",
     "trace",
@@ -113,7 +108,6 @@ const RUN_FLAGS_EXT: [&str; 17] = [
     "shards",
     "shard-threads",
     "max-epoch-arrivals",
-    "coalesce-expiries",
     "availability",
     "per-model",
 ];
@@ -240,8 +234,7 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     config.shards = args.get_or("shards", 1usize)?;
     if config.shards == 0 {
         return Err(ArgError(
-            "--shards must be at least 1 (1 = the sequential engine; there is no zero-shard run)"
-                .into(),
+            "--shards must be at least 1 (1 = one inline shard; there is no zero-shard run)".into(),
         ));
     }
     // 0 = auto (the machine's available parallelism); any positive value
@@ -251,9 +244,6 @@ fn build_run(args: &Args) -> Result<(ClusterConfig, TraceConfig), ArgError> {
     // engine clamps internally, so normalize here to keep the config
     // explicit about the semantics.
     config.max_epoch_arrivals = args.get_or("max-epoch-arrivals", 64u64)?.max(1);
-    // Both settings are bit-identical (expiry admission only elides
-    // provably-empty phases); the knob exists as the differential arm.
-    config.coalesce_window_expiries = args.get_or("coalesce-expiries", true)?;
     Ok((config, trace))
 }
 
@@ -530,7 +520,7 @@ pub fn scenario(action: Option<&str>, args: &Args) -> Result<(), ArgError> {
             let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.table_row()).collect();
             table(&headers, &rows);
             println!(
-                "\n  {} scenario(s) green: sequential and sharded digests identical, audits clean{}",
+                "\n  {} scenario(s) green: one-shard and sharded digests identical, audits clean{}",
                 outcomes.len(),
                 if smoke { " (smoke rates)" } else { "" }
             );
@@ -716,26 +706,13 @@ mod tests {
         assert_eq!(config.shard_threads, 2);
         assert_eq!(config.max_epoch_arrivals, 16);
 
-        // Defaults: sequential engine, coarsening cap at the paper
-        // default, expiry coalescing on.
+        // Defaults: one inline shard, coarsening cap at the paper
+        // default.
         let none = Args::parse(vec!["simulate".to_string()]).unwrap();
         let (config, _) = build_run(&none).unwrap();
         assert_eq!(config.shards, 1);
         assert_eq!(config.shard_threads, 1);
         assert_eq!(config.max_epoch_arrivals, 64);
-        assert!(config.coalesce_window_expiries);
-
-        // The expiry-coalescing differential arm is reachable from the
-        // command line.
-        let a = Args::parse(
-            "simulate --coalesce-expiries false"
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let (config, _) = build_run(&a).unwrap();
-        assert!(!config.coalesce_window_expiries);
 
         // --shards 0 is nonsense (no zero-shard run) and the message
         // says so; --shard-threads 0 means auto; --max-epoch-arrivals 0

@@ -13,9 +13,10 @@
 //! sweeps these invariants after **every** handled event and arrival
 //! (or every `audit_every_n`-th one, for fleet-scale runs where a full
 //! sweep per event is unaffordable), and records each violation into
-//! [`AuditReport`]. The sweep also cross-checks the incremental
-//! [`crate::dispatch::DispatchIndex`] against the workers' live state —
-//! the index-coherence invariant backing the O(log W) dispatcher. With
+//! [`AuditReport`]. The sweep also cross-checks each shard's incremental
+//! [`crate::dispatch::DispatchIndex`] against the workers' live state
+//! ([`crate::dispatch::DispatchIndex::verify_partition`]) — the
+//! index-coherence invariant backing the O(log W) dispatcher. With
 //! the flag off (the default) every hook returns immediately — the
 //! auditor holds no state and the run's results are bit-identical to an
 //! unaudited run. With the flag *on* results are also bit-identical:
@@ -34,7 +35,6 @@ use protean_sim::SimTime;
 use protean_spot::VmLedger;
 
 use crate::batch::BatchId;
-use crate::dispatch::DispatchIndex;
 use crate::worker::{Worker, WorkerStatus};
 
 /// Cap on recorded violation messages; beyond it only the count grows.
@@ -191,32 +191,10 @@ impl Auditor {
         }
     }
 
-    /// Sweeps the cluster-wide conservation invariants plus
-    /// dispatch-index coherence. Called after every handled event and
-    /// every dispatched arrival; performs the sweep on every
-    /// `every_n`-th call.
-    pub(crate) fn check_cluster(
-        &mut self,
-        now: SimTime,
-        workers: &[Worker],
-        ledger: &VmLedger,
-        index: &DispatchIndex,
-    ) {
-        if !self.sweep_due() {
-            return;
-        }
-        // Index coherence: the incrementally-maintained dispatch index
-        // must agree with the workers' live state at every quiescent
-        // point, or the O(log W) dispatcher could diverge from the
-        // linear-scan reference.
-        let index_problems = index.verify(workers);
-        self.sweep(now, workers.iter(), ledger, index_problems);
-    }
-
     /// Counts a sweep opportunity and reports whether this one is
-    /// sampled in (`every_n` thinning). Callers that assemble the fleet
-    /// view from several shards use this to skip the assembly cost on
-    /// thinned-out opportunities.
+    /// sampled in (`every_n` thinning). The engine assembles the fleet
+    /// view from its shards only when this returns `true`, so
+    /// thinned-out opportunities cost nothing.
     pub(crate) fn sweep_due(&mut self) -> bool {
         if !self.enabled {
             return false;
@@ -230,12 +208,13 @@ impl Auditor {
     }
 
     /// The conservation sweep body, over any iteration of the fleet's
-    /// workers. The sharded engine chains its per-shard worker slices
-    /// here (after verifying each shard's partition of the dispatch
-    /// index via [`DispatchIndex::verify_partition`], passing the
-    /// messages as `index_problems`); the sequential engine goes through
-    /// [`Auditor::check_cluster`]. Call only after [`Auditor::sweep_due`]
-    /// returned `true`.
+    /// workers. The engine chains its per-shard worker slices here after
+    /// verifying each shard's partition of the dispatch index via
+    /// [`crate::dispatch::DispatchIndex::verify_partition`], passing the
+    /// messages as `index_problems` — the dispatch index must agree with
+    /// the workers' live state at every quiescent point, or the O(log W)
+    /// dispatcher could diverge from the linear-scan reference. Call
+    /// only after [`Auditor::sweep_due`] returned `true`.
     pub(crate) fn sweep<'a>(
         &mut self,
         now: SimTime,
@@ -354,9 +333,8 @@ impl Auditor {
         }
     }
 
-    /// End-of-run reconciliation of the epoch-coarsening counter triad
-    /// (sharded engine only; the sequential engine peels no runs). Every
-    /// dispatch-shaped event — a gateway arrival or a `WindowExpire`
+    /// End-of-run reconciliation of the epoch-coarsening counter triad,
+    /// at every shard count. Every dispatch-shaped event — a gateway arrival or a `WindowExpire`
     /// batch-window dispatch — is either the head of a run (one epoch)
     /// or coalesced into one, and every run ends for exactly one
     /// recorded cause, so:
@@ -369,8 +347,7 @@ impl Auditor {
     /// double-attributed) — the accounting bug this check exists to
     /// catch, since the digests it rides next to are insensitive to
     /// stats. Records violations only; it is not a sweep and does not
-    /// touch `checks`, which stays comparable between the sequential
-    /// and sharded engines.
+    /// touch `checks`, which stays comparable across shard counts.
     pub(crate) fn epoch_conservation(&mut self, now: SimTime, stats: &crate::engine::EngineStats) {
         if !self.enabled {
             return;
@@ -417,13 +394,28 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::DispatchIndex;
+
+    /// One sweep opportunity over a single-partition fleet, exactly as
+    /// the engine takes it: sample, verify the index partition, sweep.
+    fn sweep_opportunity(
+        a: &mut Auditor,
+        workers: &[Worker],
+        ledger: &VmLedger,
+        index: &DispatchIndex,
+    ) {
+        if a.sweep_due() {
+            let problems = index.verify_partition(workers.len(), workers.iter());
+            a.sweep(SimTime::ZERO, workers.iter(), ledger, problems);
+        }
+    }
 
     #[test]
     fn disabled_auditor_is_inert_and_clean() {
         let mut a = Auditor::new(false, 1);
         a.batch_sealed(SimTime::ZERO, BatchId(0));
         a.batch_finished(SimTime::ZERO, BatchId(0), 0); // would violate if on
-        a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &DispatchIndex::new(0));
+        sweep_opportunity(&mut a, &[], &dummy_ledger(), &DispatchIndex::new(0));
         let r = a.into_report();
         assert!(!r.enabled);
         assert!(r.is_clean());
@@ -435,7 +427,7 @@ mod tests {
         let mut a = Auditor::new(true, 3);
         let index = DispatchIndex::new(0);
         for _ in 0..7 {
-            a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            sweep_opportunity(&mut a, &[], &dummy_ledger(), &index);
         }
         // Opportunities 1, 4 and 7 are swept.
         let r = a.into_report();
@@ -448,7 +440,7 @@ mod tests {
         let mut a = Auditor::new(true, 0);
         let index = DispatchIndex::new(0);
         for _ in 0..5 {
-            a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+            sweep_opportunity(&mut a, &[], &dummy_ledger(), &index);
         }
         assert_eq!(a.into_report().checks, 5);
     }
@@ -458,10 +450,26 @@ mod tests {
         let mut a = Auditor::new(true, 1);
         // An index sized for a worker the cluster does not have.
         let index = DispatchIndex::new(1);
-        a.check_cluster(SimTime::ZERO, &[], &dummy_ledger(), &index);
+        sweep_opportunity(&mut a, &[], &dummy_ledger(), &index);
         let r = a.into_report();
         assert_eq!(r.violation_count, 1);
         assert!(r.violations[0].contains("dispatch index"));
+    }
+
+    #[test]
+    fn stray_entry_in_a_foreign_slot_is_a_violation() {
+        let mut a = Auditor::new(true, 1);
+        // A fleet-width index holding an entry for a slot no owned
+        // worker occupies: both tiers disagree with the live rebuild.
+        let mut index = DispatchIndex::new(2);
+        index.refresh(1, true, true, 0);
+        assert!(a.sweep_due());
+        let problems = index.verify_partition(2, std::iter::empty());
+        a.sweep(SimTime::ZERO, std::iter::empty(), &dummy_ledger(), problems);
+        let r = a.into_report();
+        assert_eq!(r.violation_count, 2);
+        assert!(r.violations[0].contains("accepting tier"));
+        assert!(r.violations[1].contains("routable tier"));
     }
 
     #[test]
@@ -538,7 +546,7 @@ mod tests {
         a.epoch_conservation(SimTime::ZERO, &stats);
         let r = a.into_report();
         assert!(r.is_clean());
-        // Not a sweep: `checks` stays comparable to the sequential engine.
+        // Not a sweep: `checks` stays comparable across shard counts.
         assert_eq!(r.checks, 0);
     }
 
@@ -584,11 +592,11 @@ mod tests {
         assert_eq!(ledger.misuse_events(), 1);
         let mut a = Auditor::new(true, 1);
         let index = DispatchIndex::new(0);
-        a.check_cluster(SimTime::ZERO, &[], &ledger, &index);
+        sweep_opportunity(&mut a, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
         assert!(a.violations[0].contains("misuse"));
         // Same tally on the next sweep: no new violation.
-        a.check_cluster(SimTime::ZERO, &[], &ledger, &index);
+        sweep_opportunity(&mut a, &[], &ledger, &index);
         assert_eq!(a.violation_count, 1);
     }
 }

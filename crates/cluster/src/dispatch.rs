@@ -32,8 +32,8 @@
 //! answered from the same `(outstanding, idx)` key the scans used, the
 //! index picks the *identical* worker — pinned by the golden-seed
 //! digests and cross-checked against a retained linear reference by
-//! the audit layer ([`DispatchIndex::verify`]) and the property tests
-//! in `tests/dispatch_index.rs`.
+//! the audit layer ([`DispatchIndex::verify_partition`]) and the
+//! property tests in `tests/dispatch_index.rs`.
 
 use crate::worker::Worker;
 
@@ -230,30 +230,16 @@ impl DispatchIndex {
     }
 
     /// Cross-checks the index against the workers' live state: the
-    /// audited index-coherence invariant. Returns one message per
-    /// discrepancy (tier membership, tree contents, or dense snapshot
-    /// — the first-fit descent reads only the accepting tree, so tree
-    /// equality covers it).
-    pub fn verify(&self, workers: &[Worker]) -> Vec<String> {
-        if self.entries.len() != workers.len() {
-            return vec![format!(
-                "dispatch index covers {} slots but cluster has {}",
-                self.entries.len(),
-                workers.len()
-            )];
-        }
-        self.verify_against(workers.iter())
-    }
-
-    /// [`DispatchIndex::verify`] for a *partition* of the fleet: the
-    /// index spans all `total_slots` worker slots but only the `owned`
-    /// workers may populate it — every other slot must be absent from
-    /// both tiers. This is the coherence invariant of the sharded
-    /// engine's per-shard trees (each shard's index is fleet-width so
-    /// its keys carry global worker indices, but holds entries only for
-    /// the workers the shard owns); a stray entry in a foreign slot
-    /// shows up as a tree or tier-count mismatch against the live
-    /// rebuild.
+    /// audited index-coherence invariant, for a *partition* of the
+    /// fleet. The index spans all `total_slots` worker slots but only
+    /// the `owned` workers may populate it — every other slot must be
+    /// absent from both tiers. Each shard's index is fleet-width so its
+    /// keys carry global worker indices, but holds entries only for the
+    /// workers the shard owns; a stray entry in a foreign slot shows up
+    /// as a tree or tier-count mismatch against the live rebuild.
+    /// Returns one message per discrepancy (tier membership, tree
+    /// contents, or dense snapshot — the first-fit descent reads only
+    /// the accepting tree, so tree equality covers it).
     pub fn verify_partition<'a>(
         &self,
         total_slots: usize,
@@ -317,7 +303,7 @@ impl DispatchIndex {
 /// then the least-loaded accepting tier, then the least-loaded routable
 /// tier, each reduced by `min` over the partition answers. Every key a
 /// partition exposes embeds the *global* worker index, so the reduction
-/// reproduces the sequential fleet-wide scan's `(outstanding, idx)`
+/// reproduces the whole-fleet scan's `(outstanding, idx)`
 /// tie-break (and first-fit's leftmost-slot rule) exactly, no matter
 /// how the fleet is partitioned.
 ///

@@ -1,24 +1,18 @@
-//! The discrete-event engine driving a full cluster simulation.
+//! What a simulation run takes and returns — [`ClusterConfig`],
+//! [`SimulationResult`] and its stats — and the public entry points.
+//! Every entry point drives the one cluster engine in [`crate::sharded`]
+//! (`shards = 1` runs it as a single shard core, inline on the
+//! coordinator).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
-use protean_gpu::{JobId, JobSpec};
-use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
+use protean_metrics::MetricsSet;
 use protean_models::{Catalog, ModelId};
-use protean_sim::{EventQueue, RngFactory, SimDuration, SimTime, TimeSeries};
-use protean_spot::{
-    PricingTable, ProcurementPolicy, Provider, SpotAvailability, SpotMarket, SpotOracle, VmId,
-    VmLedger, VmTier,
-};
-use protean_trace::{Request, Trace, TraceConfig, TraceStream};
+use protean_sim::{RngFactory, SimDuration, SimTime, TimeSeries};
+use protean_spot::{ProcurementPolicy, Provider, SpotAvailability, SpotMarket, SpotOracle};
+use protean_trace::{Trace, TraceConfig};
 
-use crate::audit::{AuditReport, Auditor};
-use crate::batch::{Accumulator, Batch, BatchId};
-use crate::container::{Acquire, Pool};
-use crate::dispatch::DispatchIndex;
-use crate::journal::{Journal, JournalEvent};
-use crate::scheme::{BatchView, DispatchPolicy, PlacementCtx, ReconfigCtx, SchemeBuilder};
-use crate::worker::{RunningBatch, Worker, WorkerStatus};
+use crate::audit::AuditReport;
+use crate::journal::Journal;
+use crate::scheme::{DispatchPolicy, SchemeBuilder};
 
 /// Everything configurable about a simulation run. Scheduling policy is
 /// *not* here — that is the [`crate::SchemeBuilder`].
@@ -115,10 +109,12 @@ pub struct ClusterConfig {
     /// sweep per event. The O(1) batch-lifecycle checks stay unsampled.
     pub audit_every_n: u64,
     /// Selects the retained O(W) linear-scan dispatcher instead of the
-    /// incremental [`crate::dispatch::DispatchIndex`]. Both paths pick
-    /// the identical worker (same `(outstanding, idx)` tie-break); the
-    /// reference exists as the baseline for fleet-scale benchmarks and
-    /// for the differential tests that prove the equivalence.
+    /// incremental [`crate::dispatch::DispatchIndex`]: the coordinator
+    /// scans the fleet in global worker order across every shard. Both
+    /// paths pick the identical worker (same `(outstanding, idx)`
+    /// tie-break) at any shard count; the reference exists as the
+    /// baseline for fleet-scale benchmarks and for the differential
+    /// tests that prove the equivalence.
     pub reference_dispatch: bool,
     /// O(1)-memory metrics: store per-class latency histograms instead
     /// of per-request records, and skip the per-strict-batch latency
@@ -129,51 +125,34 @@ pub struct ClusterConfig {
     /// Required for ≥10⁹-request endurance runs, whose record store
     /// would otherwise grow without bound.
     pub aggregate_metrics: bool,
-    /// Fleet shards for intra-run parallelism. `1` (the default) runs
-    /// the sequential engine unchanged; `> 1` partitions the workers
-    /// across [`crate::sharded`]'s shard cores, which advance their own
-    /// event heaps in parallel between synchronization epochs and merge
-    /// to a digest **bit-identical** to the sequential engine (the same
-    /// differential contract `reference_dispatch` pins for the dispatch
-    /// index). Clamped to the worker count. Ignored (sequential path)
-    /// when `reference_dispatch` is set — the linear-scan reference is
-    /// inherently a whole-fleet scan.
+    /// Fleet shards for intra-run parallelism. The workers are
+    /// partitioned across [`crate::sharded`]'s shard cores, which
+    /// advance their own event heaps in parallel between
+    /// synchronization epochs. `1` (the default) is a single shard core
+    /// the coordinator runs inline, without threads; every shard count
+    /// yields **bit-identical** digests. Clamped to the worker count.
     pub shards: usize,
-    /// OS threads the sharded engine may occupy, *including* the
-    /// coordinator thread (0 = auto: `available_parallelism`, which the
-    /// experiment harness further divides against grid-cell
-    /// parallelism). Shard phases with more participants than the
-    /// budget run inline on the coordinator instead — same digests, no
-    /// oversubscription. Setting `1` forces the sharded logic fully
-    /// inline (useful on single-core hosts and in deterministic tests
-    /// of the partitioned state machine).
+    /// OS threads the engine may occupy, *including* the coordinator
+    /// thread (0 = auto: `available_parallelism`, which the experiment
+    /// harness further divides against grid-cell parallelism). Shard
+    /// phases with more participants than the budget run inline on the
+    /// coordinator instead — same digests, no oversubscription. Setting
+    /// `1` runs every shard inline (useful on single-core hosts and in
+    /// deterministic tests of the partitioned state machine); a
+    /// `shards = 1` run never spawns a thread, whatever the budget.
     pub shard_threads: usize,
-    /// Upper bound on how many consecutive arrivals the sharded
-    /// coordinator may coalesce into one synchronization epoch
-    /// (arrival-run coarsening). The coordinator only extends a run
-    /// while doing so is *provably* exact — the next arrival must win
-    /// its tie against every pending serial event and no shard may hold
-    /// an event below the arrival's bound — so any value here yields
-    /// bit-identical results; the cap merely bounds how long the
+    /// Upper bound on how many consecutive dispatch events (arrivals
+    /// and window expiries) the coordinator may coalesce into one
+    /// synchronization epoch (dispatch-run coarsening). The coordinator
+    /// only extends a run while doing so is *provably* exact — the next
+    /// member must win its tie against every pending serial event and
+    /// no shard may hold an event below its bound — so any value here
+    /// yields bit-identical results; the cap merely bounds how long the
     /// coordinator defers its conflict re-checks. Values `<= 1` disable
-    /// coarsening (one epoch per arrival, the PR-7 discipline), which
-    /// is the differential arm the coarsening tests compare against.
-    /// Ignored by the sequential engine (`effective_shards() == 1`),
-    /// which has no epochs.
+    /// coarsening (one epoch per dispatch event), the per-arrival
+    /// oracle arm the coarsening tests compare against. Applies at
+    /// every shard count, `shards = 1` included.
     pub max_epoch_arrivals: u64,
-    /// Admit `WindowExpire` coordinator events into coarsened runs
-    /// alongside arrivals (the PR-10 extension of the run-peeling
-    /// contract). A window expiry is dispatch-shaped — it routes the
-    /// pending window batch through the same `DispatchIndex` path an
-    /// arrival uses — so it may join a run under the same two conflict
-    /// checks (key-order tie win against every other pending
-    /// coordinator event; no shard heap below its `EventKey`), with the
-    /// run cut at the first non-dispatch coordinator event or shard
-    /// conflict. Exactness is proven per member, so both settings are
-    /// bit-identical; `false` restores the PR-8 discipline where every
-    /// expiry is a singleton epoch (the differential arm). Ignored by
-    /// the sequential engine.
-    pub coalesce_window_expiries: bool,
 }
 
 impl ClusterConfig {
@@ -212,17 +191,12 @@ impl ClusterConfig {
             shards: 1,
             shard_threads: 0,
             max_epoch_arrivals: 64,
-            coalesce_window_expiries: true,
         }
     }
 
     /// The shard count this configuration actually runs with: clamped
-    /// to the fleet size, and forced to 1 (sequential) under
-    /// `reference_dispatch`.
+    /// to the fleet size.
     pub fn effective_shards(&self) -> usize {
-        if self.reference_dispatch {
-            return 1;
-        }
         self.shards.clamp(1, self.workers.max(1))
     }
 
@@ -259,11 +233,14 @@ pub struct CostReport {
 /// the heap-traffic reduction, measured per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Total events pushed onto the event queue (all types).
+    /// Total events pushed onto the event queues (all types).
     pub events_pushed: u64,
-    /// Total events popped from the event queue.
+    /// Total events popped from the event queues.
     pub events_popped: u64,
-    /// Largest heap size reached during the run.
+    /// Largest heap size reached during the run: the sum of the
+    /// coordinator's and every shard's per-queue peaks (the queues peak
+    /// at different instants, so this bounds the number of events
+    /// pending at once from above).
     pub peak_heap_len: usize,
     /// `JobFinish` events actually pushed.
     pub finish_events_pushed: u64,
@@ -295,16 +272,13 @@ pub struct EngineStats {
     /// `WindowExpire` batch-window dispatches handled at or before the
     /// cutoff (live and stale alike — staleness is a property of the
     /// accumulator, not of the event having fired). The other half of
-    /// the dispatch-event denominator; counted identically by the
-    /// sequential and sharded engines.
+    /// the dispatch-event denominator.
     pub expiries: u64,
-    /// Dispatch-run epochs the sharded coordinator started: each run
-    /// covers one or more consecutive dispatch-shaped events (arrivals
-    /// and, with [`ClusterConfig::coalesce_window_expiries`], window
+    /// Dispatch-run epochs the coordinator started: each run covers one
+    /// or more consecutive dispatch-shaped events (arrivals and window
     /// expiries) whose intermediate phases were proven empty.
     /// Per-arrival mode (`max_epoch_arrivals <= 1`) records one epoch
-    /// per dispatch event; the sequential engine records zero (it has
-    /// no epochs).
+    /// per dispatch event.
     pub epochs: u64,
     /// Arrivals absorbed into a running epoch beyond each run's first
     /// member (the barrier launches coarsening avoided). Conservation:
@@ -313,18 +287,15 @@ pub struct EngineStats {
     /// [`ClusterConfig::audit`] is set.
     pub coalesced_arrivals: u64,
     /// Window expiries absorbed into a running epoch beyond each run's
-    /// first member — the serial synchronizations the PR-10 expiry
-    /// admission eliminated. Zero when
-    /// [`ClusterConfig::coalesce_window_expiries`] is off (every expiry
-    /// is then a singleton epoch). Part of the conservation identity
-    /// above.
+    /// first member — the serial synchronizations expiry admission
+    /// eliminated. Part of the conservation identity above.
     pub coalesced_expiries: u64,
     /// Why each dispatch run ended, by cause. Every run is cut exactly
     /// once, so `run_cutoffs.total() == epochs` (also audited).
     pub run_cutoffs: RunCutoffs,
 }
 
-/// Per-cause accounting of dispatch-run terminations in the sharded
+/// Per-cause accounting of dispatch-run terminations in the
 /// coordinator (see [`EngineStats::run_cutoffs`]). The causes are
 /// mutually exclusive: the first one that fires ends the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -344,10 +315,6 @@ pub struct RunCutoffs {
     /// cut-cause table attributes arrival-bound and expiry-bound
     /// conflicts separately.
     pub expiry_shard_conflict: u64,
-    /// [`ClusterConfig::coalesce_window_expiries`] is off and the run's
-    /// opening member was a window expiry: the PR-8 discipline makes it
-    /// a singleton epoch by fiat, not by any conflict.
-    pub coalescing_off: u64,
     /// The run reached [`ClusterConfig::max_epoch_arrivals`] members
     /// (arrivals and admitted expiries both count toward the cap).
     pub max_arrivals: u64,
@@ -367,7 +334,6 @@ impl RunCutoffs {
         self.serial_event
             + self.shard_conflict
             + self.expiry_shard_conflict
-            + self.coalescing_off
             + self.max_arrivals
             + self.journal_pressure
             + self.trace_end
@@ -441,47 +407,6 @@ impl SimulationResult {
     }
 }
 
-#[derive(Debug)]
-enum Event {
-    WindowExpire {
-        model: ModelId,
-        strict: bool,
-        seq: u64,
-    },
-    BootDone {
-        worker: usize,
-        model: ModelId,
-        /// The worker's VM incarnation when the boot was armed; a boot
-        /// from a VM that has since been replaced is stale.
-        vm_epoch: u64,
-    },
-    JobFinish {
-        worker: usize,
-        slice: usize,
-        job: JobId,
-        generation: u64,
-        epoch: u64,
-    },
-    MonitorTick,
-    ReconfigDone {
-        worker: usize,
-        epoch: u64,
-    },
-    RevocationCheck {
-        worker: usize,
-    },
-    EvictionFinal {
-        worker: usize,
-    },
-    VmReady {
-        worker: usize,
-        tier: VmTier,
-    },
-    ProcurementRetry {
-        worker: usize,
-    },
-}
-
 /// Runs one full simulation: generates the trace from `trace_config`
 /// (seeded by `config.seed`), drives it through the cluster under
 /// `scheme`, and returns metrics, cost and timelines.
@@ -533,15 +458,7 @@ pub fn run_trace_with_oracle(
     trace: Trace,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    if config.effective_shards() > 1 {
-        return crate::sharded::run_trace_sharded(config, scheme, trace, oracle);
-    }
-    let factory = RngFactory::new(config.seed);
-    let catalog = Catalog::new();
-    let mut engine = Engine::new(config, scheme, &catalog, &factory, oracle);
-    let duration = trace.duration();
-    engine.run(trace.into_requests(), duration);
-    engine.into_result(scheme.name().to_string())
+    crate::sharded::run_trace(config, scheme, trace, oracle)
 }
 
 /// [`run_simulation`] with arrivals pulled lazily from
@@ -569,1220 +486,7 @@ pub fn run_stream_with_oracle(
     trace_config: &TraceConfig,
     oracle: &mut dyn SpotOracle,
 ) -> SimulationResult {
-    if config.effective_shards() > 1 {
-        return crate::sharded::run_stream_sharded(config, scheme, trace_config, oracle);
-    }
-    let factory = RngFactory::new(config.seed);
-    let catalog = Catalog::new();
-    let mut engine = Engine::new(config, scheme, &catalog, &factory, oracle);
-    engine.run_streaming(trace_config.stream(&factory), trace_config.stream(&factory));
-    engine.into_result(scheme.name().to_string())
-}
-
-struct Engine<'a> {
-    config: &'a ClusterConfig,
-    catalog: &'a Catalog,
-    workers: Vec<Worker>,
-    queue: EventQueue<Event>,
-    now: SimTime,
-    market: &'a mut dyn SpotOracle,
-    ledger: VmLedger,
-    accumulators: HashMap<(ModelId, bool), Accumulator>,
-    backlog: VecDeque<Batch>,
-    metrics: MetricsSet,
-    strict_latency_timeline: TimeSeries,
-    geometry_timeline: Vec<GeometryChange>,
-    next_batch_id: u64,
-    journal: Journal,
-    /// One execution-jitter stream per worker
-    /// (`indexed_stream("engine.exec_jitter", idx)`), so a worker's
-    /// jitter sequence depends only on its own placement history — the
-    /// property that lets the sharded engine draw jitter shard-locally
-    /// and still match this engine bit for bit.
-    jitter_rngs: Vec<protean_sim::SimRng>,
-    dispatch_policy: DispatchPolicy,
-    /// Reusable candidate buffer for `try_place` — the placement loop
-    /// runs on every dispatch/boot/finish event, so it must not allocate
-    /// a fresh `Vec` per pass.
-    scratch_views: Vec<(BatchId, BatchView)>,
-    /// Incremental index over worker dispatch state (status, GPU
-    /// accepting, `outstanding`). Kept coherent even under
-    /// `reference_dispatch` so the audit layer can cross-check it.
-    index: DispatchIndex,
-    /// Reusable distinct-model buffer for `prewarm_pools`.
-    scratch_models: Vec<ModelId>,
-    stats: EngineStats,
-    audit: Auditor,
-    reconfigs: u64,
-    evictions: u64,
-    censored: u64,
-    cutoff: SimTime,
-}
-
-impl<'a> Engine<'a> {
-    fn new(
-        config: &'a ClusterConfig,
-        scheme: &dyn SchemeBuilder,
-        catalog: &'a Catalog,
-        factory: &RngFactory,
-        market: &'a mut dyn SpotOracle,
-    ) -> Self {
-        assert!(config.workers > 0, "cluster needs at least one worker");
-        let ledger = VmLedger::new(PricingTable::paper_table3(), config.provider);
-        let workers = (0..config.workers)
-            .map(|i| Worker::new(i, scheme.build(i), SimTime::ZERO))
-            .collect();
-        let mut engine = Engine {
-            config,
-            catalog,
-            workers,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            market,
-            ledger,
-            accumulators: HashMap::new(),
-            backlog: VecDeque::new(),
-            metrics: if config.aggregate_metrics {
-                MetricsSet::aggregate()
-            } else {
-                MetricsSet::new()
-            },
-            strict_latency_timeline: TimeSeries::new(),
-            geometry_timeline: Vec::new(),
-            next_batch_id: 0,
-            journal: Journal::new(config.journal_capacity),
-            jitter_rngs: (0..config.workers)
-                .map(|i| factory.indexed_stream("engine.exec_jitter", i as u64))
-                .collect(),
-            dispatch_policy: scheme.dispatch_policy(),
-            scratch_views: Vec::new(),
-            index: DispatchIndex::new(config.workers),
-            scratch_models: Vec::new(),
-            stats: EngineStats::default(),
-            audit: Auditor::new(config.audit, config.audit_every_n),
-            reconfigs: 0,
-            evictions: 0,
-            censored: 0,
-            cutoff: SimTime::MAX,
-        };
-        engine.provision_initial_vms();
-        engine
-    }
-
-    fn provision_initial_vms(&mut self) {
-        for idx in 0..self.workers.len() {
-            let policy = self.config.procurement;
-            let tier = match policy {
-                ProcurementPolicy::OnDemandOnly => Some(VmTier::OnDemand),
-                _ => policy.replacement_tier(self.market.try_acquire_spot(self.now, idx)),
-            };
-            match tier {
-                Some(tier) => {
-                    let id = self.ledger.allocate_id();
-                    self.ledger.open(id, tier, SimTime::ZERO);
-                    let w = &mut self.workers[idx];
-                    w.vm = Some((id, tier));
-                    w.status = WorkerStatus::Up;
-                    w.gpu.set_reconfig_delay(self.config.reconfig_delay);
-                    if tier == VmTier::Spot {
-                        self.queue.push(
-                            SimTime::ZERO + self.config.revocation_check,
-                            Event::RevocationCheck { worker: idx },
-                        );
-                    }
-                }
-                None => {
-                    // Spot-only under scarcity: the slot starts empty.
-                    self.workers[idx].status = WorkerStatus::Down;
-                    self.queue.push(
-                        SimTime::ZERO + self.config.procurement_retry,
-                        Event::ProcurementRetry { worker: idx },
-                    );
-                }
-            }
-        }
-        for idx in 0..self.workers.len() {
-            self.refresh_index(idx);
-        }
-        self.queue.push(
-            SimTime::ZERO + self.config.monitor_interval,
-            Event::MonitorTick,
-        );
-    }
-
-    /// Re-caches `idx`'s dispatch state in the index. Must follow any
-    /// mutation of the worker's status, GPU accepting state, or
-    /// `outstanding`. Reference-dispatch runs skip maintenance so the
-    /// benchmark baseline pays exactly what the pre-index engine paid —
-    /// unless the auditor is on, which keeps the index coherent so the
-    /// cross-check against the linear scans stays active.
-    fn refresh_index(&mut self, idx: usize) {
-        if self.config.reference_dispatch && !self.config.audit {
-            return;
-        }
-        self.index.refresh_worker(&self.workers[idx]);
-    }
-
-    fn run(&mut self, requests: Vec<Request>, duration: SimDuration) {
-        // Every arrived request produces exactly one record (completed
-        // or censored); reserving up front keeps million-request fleet
-        // runs from re-growing the record store mid-measurement.
-        self.metrics.reserve(requests.len());
-        self.prewarm_pools(&requests);
-        self.run_arrivals(requests.into_iter(), duration);
-    }
-
-    /// [`Engine::run`] pulling arrivals from a [`TraceStream`] instead
-    /// of a materialised vector: identical event interleaving and RNG
-    /// consumption (arrivals ride their own labeled streams), so the
-    /// results are bit-identical to the materialised run, while the
-    /// arrival store stays O(1) no matter how many requests the trace
-    /// carries. A second stream instance feeds the prewarm pre-pass.
-    fn run_streaming(&mut self, arrivals: TraceStream, prewarm_scan: TraceStream) {
-        let duration = arrivals.duration();
-        self.prewarm_pools_streaming(prewarm_scan);
-        self.run_arrivals(arrivals, duration);
-    }
-
-    fn run_arrivals<I: Iterator<Item = Request>>(&mut self, arrivals: I, duration: SimDuration) {
-        self.cutoff = SimTime::ZERO + duration + self.config.drain_grace;
-        let mut arrivals = arrivals.peekable();
-        loop {
-            let next_arrival = arrivals.peek().map(|r| r.arrival);
-            let next_event = self.queue.peek_time();
-            match (next_arrival, next_event) {
-                (Some(ta), Some(te)) if ta <= te => {
-                    if ta > self.cutoff {
-                        break;
-                    }
-                    self.now = ta;
-                    let r = arrivals.next().expect("peeked");
-                    self.dispatch(r);
-                    self.audit
-                        .check_cluster(self.now, &self.workers, &self.ledger, &self.index);
-                }
-                (Some(ta), None) => {
-                    if ta > self.cutoff {
-                        break;
-                    }
-                    self.now = ta;
-                    let r = arrivals.next().expect("peeked");
-                    self.dispatch(r);
-                    self.audit
-                        .check_cluster(self.now, &self.workers, &self.ledger, &self.index);
-                }
-                (_, Some(te)) => {
-                    if te > self.cutoff {
-                        break;
-                    }
-                    self.now = te;
-                    let (_, ev) = self.queue.pop().expect("peeked");
-                    self.handle(ev);
-                    self.audit
-                        .check_cluster(self.now, &self.workers, &self.ledger, &self.index);
-                }
-                (None, None) => break,
-            }
-        }
-        self.now = self.cutoff;
-        self.censor_remaining();
-    }
-
-    // ---- request path -------------------------------------------------
-
-    /// Gateway: requests accumulate into per-(model, strictness)
-    /// batches *before* dispatch (Fig. 4 order: reorder/batch, then
-    /// serve), so batches fill at the cluster-wide arrival rate.
-    fn dispatch(&mut self, request: Request) {
-        self.stats.arrivals += 1;
-        let batch_size = self.catalog.profile(request.model).batch_size;
-        let key = (request.model, request.strict);
-        let acc = self.accumulators.entry(key).or_default();
-        let first = acc.push(request);
-        if acc.len() as u32 >= batch_size {
-            self.seal_batch(key);
-        } else if first {
-            let seq = self.accumulators[&key].seal_seq;
-            self.queue.push(
-                self.now + self.config.batch_window,
-                Event::WindowExpire {
-                    model: key.0,
-                    strict: key.1,
-                    seq,
-                },
-            );
-        }
-    }
-
-    fn seal_batch(&mut self, key: (ModelId, bool)) {
-        let requests = match self.accumulators.get_mut(&key) {
-            Some(acc) if !acc.is_empty() => acc.seal(),
-            _ => return,
-        };
-        let id = BatchId(self.next_batch_id);
-        self.next_batch_id += 1;
-        let batch = Batch {
-            id,
-            model: key.0,
-            strict: key.1,
-            requests,
-            sealed_at: self.now,
-            cold_wait_ms: 0.0,
-            redispatched: false,
-        };
-        self.audit.batch_sealed(self.now, batch.id);
-        self.journal.record(
-            self.now,
-            JournalEvent::BatchSealed {
-                batch: batch.id,
-                model: batch.model,
-                strict: batch.strict,
-                size: batch.size(),
-            },
-        );
-        self.dispatch_batch(batch);
-    }
-
-    /// Pre-provisions warm containers for every model appearing in the
-    /// trace (steady state of a long-running deployment).
-    fn prewarm_pools(&mut self, requests: &[Request]) {
-        if self.config.prewarm_containers == 0 {
-            return;
-        }
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        let mut seen: HashSet<ModelId> = HashSet::new();
-        let mut last: Option<ModelId> = None;
-        for r in requests {
-            // Traces run a model for long stretches; skipping repeats of
-            // the previous model avoids hashing every request.
-            if last == Some(r.model) {
-                continue;
-            }
-            last = Some(r.model);
-            if seen.insert(r.model) {
-                models.push(r.model);
-            }
-        }
-        self.prewarm_models(&models);
-        self.scratch_models = models;
-    }
-
-    /// [`Engine::prewarm_pools`] for a streamed trace: walks a fresh
-    /// stream instance collecting distinct models in the same
-    /// first-appearance order the materialised scan sees, stopping as
-    /// soon as every model the stream *can* produce
-    /// ([`TraceStream::model_universe`]) has appeared — a few rotation
-    /// periods in practice, never the full request count.
-    fn prewarm_pools_streaming(&mut self, stream: TraceStream) {
-        if self.config.prewarm_containers == 0 {
-            return;
-        }
-        let universe = stream.model_universe().len();
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        let mut seen: HashSet<ModelId> = HashSet::new();
-        let mut last: Option<ModelId> = None;
-        for r in stream {
-            if last == Some(r.model) {
-                continue;
-            }
-            last = Some(r.model);
-            if seen.insert(r.model) {
-                models.push(r.model);
-                if models.len() >= universe {
-                    break;
-                }
-            }
-        }
-        self.prewarm_models(&models);
-        self.scratch_models = models;
-    }
-
-    fn prewarm_models(&mut self, models: &[ModelId]) {
-        let now = self.now;
-        let count = self.config.prewarm_containers;
-        for w in &mut self.workers {
-            // A worker already holding the prewarm quota for every trace
-            // model needs no inserts — the dominant case on re-entry.
-            let satisfied = models.iter().all(|m| {
-                w.pools
-                    .get(m)
-                    .is_some_and(|p| p.total_containers() as usize >= count)
-            });
-            if satisfied {
-                continue;
-            }
-            for &m in models {
-                w.pools
-                    .entry(m)
-                    .or_insert_with(Pool::new)
-                    .prewarm(now, count);
-            }
-        }
-    }
-
-    /// Dispatcher: routes a sealed batch per the scheme's policy —
-    /// least-loaded live worker, or (INFless/Llama-style) consolidated
-    /// onto the fewest GPUs with memory headroom. Target selection goes
-    /// through the incremental [`DispatchIndex`] (O(log W) per batch)
-    /// unless [`ClusterConfig::reference_dispatch`] re-selects the
-    /// retained O(W) scans; both paths pick the identical worker.
-    fn dispatch_batch(&mut self, batch: Batch) {
-        self.stats.dispatch_batches += 1;
-        let mut visits = 0u64;
-        let target = if self.config.reference_dispatch {
-            self.reference_target(&batch, &mut visits)
-        } else {
-            self.indexed_target(&batch, &mut visits)
-        };
-        self.stats.dispatch_scan_visits += visits;
-        match target {
-            Some(idx) => {
-                self.audit.batch_dispatched(
-                    self.now,
-                    batch.id,
-                    idx,
-                    self.workers[idx].routable(),
-                    batch.redispatched,
-                );
-                let w = &mut self.workers[idx];
-                let n = batch.requests.len() as u64;
-                w.outstanding += n;
-                // Per-window load counters feed the reconfiguration
-                // predictor; an eviction orphan's requests were already
-                // counted at first dispatch, so re-counting them here
-                // would double the apparent window load.
-                if !batch.redispatched {
-                    if batch.strict {
-                        w.window_strict += n;
-                    } else {
-                        w.window_be += n;
-                    }
-                }
-                if !batch.strict {
-                    w.last_be_model = Some(batch.model);
-                }
-                // Per-model dispatch counts drive predictive container
-                // pre-provisioning; the target worker needs a container
-                // whether or not the batch is an orphan.
-                *w.window_batches.entry(batch.model).or_insert(0) += 1;
-                self.refresh_index(idx);
-                self.journal.record(
-                    self.now,
-                    JournalEvent::BatchDispatched {
-                        batch: batch.id,
-                        worker: idx,
-                        redispatch: batch.redispatched,
-                    },
-                );
-                self.acquire_container(idx, batch);
-            }
-            None => self.backlog.push_back(batch),
-        }
-    }
-
-    /// Indexed target selection. Preference order matches the linear
-    /// path exactly: consolidate first-fit when the policy asks, then
-    /// the least-loaded worker with an accepting GPU — a GPU draining
-    /// for reconfiguration gets no new traffic (§4.4 keeps downtime
-    /// local) — then any live worker if every GPU is mid-change.
-    fn indexed_target(&mut self, batch: &Batch, visits: &mut u64) -> Option<usize> {
-        let cap = match self.dispatch_policy {
-            DispatchPolicy::Consolidate { cap_batches } => {
-                Some(cap_batches * u64::from(self.catalog.profile(batch.model).batch_size))
-            }
-            DispatchPolicy::LoadBalance => None,
-        };
-        crate::dispatch::select_across(std::iter::once(&self.index), cap, visits)
-    }
-
-    /// The original O(W) scans, retained as the differential reference
-    /// and the fleet-scale benchmark baseline
-    /// ([`ClusterConfig::reference_dispatch`]).
-    fn reference_target(&self, batch: &Batch, visits: &mut u64) -> Option<usize> {
-        let consolidated = match self.dispatch_policy {
-            DispatchPolicy::Consolidate { cap_batches } => {
-                let cap = cap_batches * u64::from(self.catalog.profile(batch.model).batch_size);
-                self.workers
-                    .iter()
-                    .find(|w| {
-                        *visits += 1;
-                        w.routable() && w.gpu.accepting() && w.outstanding < cap
-                    })
-                    .map(|w| w.idx)
-            }
-            DispatchPolicy::LoadBalance => None,
-        };
-        if consolidated.is_some() {
-            return consolidated;
-        }
-        // Prefer workers whose GPU is accepting jobs; a GPU draining for
-        // reconfiguration gets no new traffic (§4.4 keeps downtime
-        // local). Fall back to any live worker if every GPU is mid-change.
-        *visits += self.workers.len() as u64;
-        let accepting = self
-            .workers
-            .iter()
-            .filter(|w| w.routable() && w.gpu.accepting())
-            .min_by_key(|w| (w.outstanding, w.idx))
-            .map(|w| w.idx);
-        if accepting.is_some() {
-            return accepting;
-        }
-        *visits += self.workers.len() as u64;
-        self.workers
-            .iter()
-            .filter(|w| w.routable())
-            .min_by_key(|w| (w.outstanding, w.idx))
-            .map(|w| w.idx)
-    }
-
-    fn acquire_container(&mut self, idx: usize, batch: Batch) {
-        let model = batch.model;
-        let now = self.now;
-        let w = &mut self.workers[idx];
-        let pool = w.pools.entry(model).or_default();
-        match pool.acquire(now) {
-            Acquire::Warm => {
-                let mem = self.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-                self.try_place(idx);
-            }
-            Acquire::ColdStarted => {
-                let vm_epoch = w.vm_epoch;
-                w.wait_container.entry(model).or_default().push_back(batch);
-                self.journal
-                    .record(now, JournalEvent::ColdStart { worker: idx, model });
-                self.queue.push(
-                    now + self.config.cold_start,
-                    Event::BootDone {
-                        worker: idx,
-                        model,
-                        vm_epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    fn try_place(&mut self, idx: usize) {
-        // Take the scratch buffer so the loop body can borrow `self`
-        // mutably; restored before returning.
-        let mut views = std::mem::take(&mut self.scratch_views);
-        loop {
-            if !self.workers[idx].gpu.accepting() {
-                break;
-            }
-            views.clear();
-            self.workers[idx]
-                .sched_queue
-                .for_each_candidate(self.config.scan_depth, |b| {
-                    views.push((
-                        b.id,
-                        BatchView {
-                            model: b.model,
-                            strict: b.strict,
-                            size: b.size(),
-                        },
-                    ));
-                });
-            if views.is_empty() {
-                break;
-            }
-            let mut placed_any = false;
-            for &(batch_id, view) in &views {
-                let w = &mut self.workers[idx];
-                let placement = {
-                    let ctx = PlacementCtx {
-                        now: self.now,
-                        gpu: &w.gpu,
-                        queued_be_mem_gb: w.sched_queue.be_mem_gb(),
-                        catalog: self.catalog,
-                    };
-                    w.scheme.place(&ctx, &view)
-                };
-                let Some(p) = placement else { continue };
-                if p.slice >= w.gpu.slices().len() {
-                    continue;
-                }
-                let profile = self.catalog.profile(view.model);
-                let slice_profile = w.gpu.slice(p.slice).profile();
-                // Inference batch latency is affine in batch size (see
-                // ModelProfile::fill_factor), so partial (window-sealed)
-                // batches run proportionally faster.
-                let fill = f64::from(view.size) / f64::from(profile.batch_size);
-                let fill_factor = profile.fill_factor(fill);
-                let jitter = if self.config.exec_jitter_sigma > 0.0 {
-                    (self.jitter_rngs[idx].standard_normal() * self.config.exec_jitter_sigma)
-                        .exp()
-                        .clamp(0.6, 1.7)
-                } else {
-                    1.0
-                };
-                let mut solo = profile
-                    .solo_on(slice_profile)
-                    .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
-                if w.gpu.slice(p.slice).mode() == protean_gpu::SharingMode::TimeShared {
-                    // Context switch between containers on a time-shared
-                    // GPU (weights/context re-activation), scaling with
-                    // the model's working set.
-                    solo += SimDuration::from_millis(
-                        self.config.time_share_overhead_base_ms
-                            + self.config.time_share_overhead_ms_per_gb * profile.mem_gb,
-                    );
-                }
-                let spec = JobSpec {
-                    id: JobId(batch_id.0),
-                    solo,
-                    fbr: profile.fbr * p.fbr_scale.max(0.0),
-                    mem_gb: profile.mem_gb,
-                };
-                let admitted = w.gpu.slice_mut(p.slice).admit(self.now, spec);
-                match admitted {
-                    Ok(next) => {
-                        let batch = w
-                            .sched_queue
-                            .remove(batch_id, profile.mem_gb)
-                            .expect("placed batch was queued");
-                        w.running.insert(
-                            batch_id,
-                            RunningBatch {
-                                batch,
-                                slice: p.slice,
-                                exec_start: self.now,
-                                solo_on_slice_ms: solo.as_millis_f64(),
-                                solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
-                            },
-                        );
-                        // One live finish event per slice: the admit
-                        // bumped the generation, so whatever event was
-                        // armed before is now stale. The all-jobs
-                        // discipline would have re-pushed every
-                        // resident here.
-                        let epoch = w.epoch;
-                        self.stats.finish_events_all_jobs +=
-                            w.gpu.slice(p.slice).job_count() as u64;
-                        self.stats.finish_events_pushed += 1;
-                        self.queue.push(
-                            next.at,
-                            Event::JobFinish {
-                                worker: idx,
-                                slice: p.slice,
-                                job: next.job,
-                                generation: next.generation,
-                                epoch,
-                            },
-                        );
-                        self.audit.batch_placed(self.now, batch_id, idx);
-                        self.journal.record(
-                            self.now,
-                            JournalEvent::BatchPlaced {
-                                batch: batch_id,
-                                worker: idx,
-                                slice: p.slice,
-                            },
-                        );
-                        placed_any = true;
-                    }
-                    Err(_) => {
-                        // No room right now; the batch stays queued.
-                    }
-                }
-            }
-            if !placed_any {
-                break;
-            }
-        }
-        self.scratch_views = views;
-    }
-
-    // ---- event handlers ------------------------------------------------
-
-    fn handle(&mut self, ev: Event) {
-        match ev {
-            Event::WindowExpire { model, strict, seq } => {
-                self.stats.expiries += 1;
-                let stale = self
-                    .accumulators
-                    .get(&(model, strict))
-                    .is_none_or(|acc| acc.seal_seq != seq || acc.is_empty());
-                if !stale {
-                    self.seal_batch((model, strict));
-                }
-            }
-            Event::BootDone {
-                worker,
-                model,
-                vm_epoch,
-            } => self.on_boot_done(worker, model, vm_epoch),
-            Event::JobFinish {
-                worker,
-                slice,
-                job,
-                generation,
-                epoch,
-            } => self.on_job_finish(worker, slice, job, generation, epoch),
-            Event::MonitorTick => self.on_monitor_tick(),
-            Event::ReconfigDone { worker, epoch } => self.on_reconfig_done(worker, epoch),
-            Event::RevocationCheck { worker } => self.on_revocation_check(worker),
-            Event::EvictionFinal { worker } => self.on_eviction_final(worker),
-            Event::VmReady { worker, tier } => self.on_vm_ready(worker, tier),
-            Event::ProcurementRetry { worker } => self.on_procurement_retry(worker),
-        }
-    }
-
-    fn on_boot_done(&mut self, idx: usize, model: ModelId, vm_epoch: u64) {
-        let now = self.now;
-        let w = &mut self.workers[idx];
-        if w.vm_epoch != vm_epoch {
-            // The VM this container was booting on has been replaced;
-            // the boot died with it (the replacement VM's pools started
-            // empty). Crediting it would mint a phantom container — or
-            // underflow the fresh pool's booting count.
-            self.stats.stale_boot_events += 1;
-            return;
-        }
-        let waiting = w.wait_container.get_mut(&model).and_then(|q| q.pop_front());
-        let pool = w.pools.entry(model).or_default();
-        match waiting {
-            Some(mut batch) => {
-                pool.boot_done(now, true);
-                batch.cold_wait_ms = now.saturating_since(batch.sealed_at).as_millis_f64();
-                let mem = self.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-                self.try_place(idx);
-            }
-            None => pool.boot_done(now, false),
-        }
-    }
-
-    fn on_job_finish(&mut self, idx: usize, slice: usize, job: JobId, generation: u64, epoch: u64) {
-        let w = &mut self.workers[idx];
-        if !w.finish_event_live(slice, generation, epoch) {
-            self.stats.stale_finish_events += 1;
-            return; // stale completion
-        }
-        let now = self.now;
-        let (finished, next) = match w.gpu.slice_mut(slice).finish(now, job) {
-            Ok(ok) => ok,
-            Err(_) => {
-                // Stale in a way the generation missed. The slice's
-                // membership (and generation) did not change, so the
-                // event just consumed was its only live one — re-arm it
-                // or the residents would never finish.
-                self.stats.stale_finish_events += 1;
-                let epoch = w.epoch;
-                if let Some(c) = w.gpu.slice(slice).next_completion(now) {
-                    self.stats.finish_events_pushed += 1;
-                    self.queue.push(
-                        c.at,
-                        Event::JobFinish {
-                            worker: idx,
-                            slice,
-                            job: c.job,
-                            generation: c.generation,
-                            epoch,
-                        },
-                    );
-                }
-                return;
-            }
-        };
-        let batch_id = BatchId(finished.spec.id.0);
-        let Some(running) = w.running.remove(&batch_id) else {
-            return;
-        };
-        // Re-arm the slice's single live finish event for the jobs still
-        // resident (the all-jobs discipline would have re-pushed each).
-        let new_epoch = w.epoch;
-        self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
-        if let Some(c) = next {
-            self.stats.finish_events_pushed += 1;
-            self.queue.push(
-                c.at,
-                Event::JobFinish {
-                    worker: idx,
-                    slice,
-                    job: c.job,
-                    generation: c.generation,
-                    epoch: new_epoch,
-                },
-            );
-        }
-        self.audit.batch_finished(now, batch_id, idx);
-        self.journal.record(
-            now,
-            JournalEvent::BatchFinished {
-                batch: batch_id,
-                worker: idx,
-            },
-        );
-        self.record_batch_completion(idx, &running, now);
-        // The container frees: reuse for a batch waiting on a container,
-        // otherwise park warm.
-        let model = running.batch.model;
-        let w = &mut self.workers[idx];
-        let next = w.wait_container.get_mut(&model).and_then(|q| q.pop_front());
-        let pool = w.pools.entry(model).or_default();
-        match next {
-            Some(batch) => {
-                pool.release(now, true);
-                let mem = self.catalog.profile(model).mem_gb;
-                w.sched_queue.push(batch, mem);
-            }
-            None => pool.release(now, false),
-        }
-        self.maybe_begin_reconfigure(idx);
-        self.try_place(idx);
-    }
-
-    fn record_batch_completion(&mut self, idx: usize, running: &RunningBatch, now: SimTime) {
-        let exec_ms = now.saturating_since(running.exec_start).as_millis_f64();
-        let interference_ms = (exec_ms - running.solo_on_slice_ms).max(0.0);
-        let deficiency_ms = (running.solo_on_slice_ms - running.solo_7g_ms).max(0.0);
-        let cold_ms = running.batch.cold_wait_ms;
-        let measure_from = SimTime::ZERO + self.config.warmup;
-        let w = &mut self.workers[idx];
-        for req in &running.batch.requests {
-            if req.arrival < measure_from {
-                w.outstanding = w.outstanding.saturating_sub(1);
-                continue;
-            }
-            let total_ms = now.saturating_since(req.arrival).as_millis_f64();
-            let queueing_ms =
-                (total_ms - cold_ms - interference_ms - deficiency_ms - running.solo_7g_ms)
-                    .max(0.0);
-            self.metrics.push(RequestRecord {
-                model: running.batch.model,
-                strict: running.batch.strict,
-                arrival: req.arrival,
-                completion: now,
-                breakdown: LatencyBreakdown {
-                    min_exec_ms: running.solo_7g_ms,
-                    deficiency_ms,
-                    interference_ms,
-                    queueing_ms,
-                    cold_start_ms: cold_ms,
-                },
-            });
-            w.outstanding = w.outstanding.saturating_sub(1);
-        }
-        // The timeline grows O(#strict batches); aggregate-metrics
-        // runs trade it away for the flat-RSS guarantee.
-        if running.batch.strict && !self.config.aggregate_metrics {
-            let mean_lat_ms = running
-                .batch
-                .requests
-                .iter()
-                .map(|r| now.saturating_since(r.arrival).as_millis_f64())
-                .sum::<f64>()
-                / running.batch.requests.len().max(1) as f64;
-            self.strict_latency_timeline.push(now, mean_lat_ms);
-        }
-        self.refresh_index(idx);
-    }
-
-    fn on_monitor_tick(&mut self) {
-        let now = self.now;
-        for idx in 0..self.workers.len() {
-            // Delayed termination of surplus warm containers.
-            let keep_alive = self.config.keep_alive;
-            for pool in self.workers[idx].pools.values_mut() {
-                pool.expire_idle(now, keep_alive);
-            }
-            self.predictive_prewarm_tick(idx);
-            if !matches!(self.workers[idx].status, WorkerStatus::Up) {
-                continue;
-            }
-            // Scheme reconfiguration hook.
-            let desired = {
-                let w = &mut self.workers[idx];
-                let ctx = ReconfigCtx {
-                    now,
-                    gpu: &w.gpu,
-                    window_be_requests: w.window_be,
-                    window_strict_requests: w.window_strict,
-                    be_model: w.last_be_model,
-                    catalog: self.catalog,
-                };
-                let desired = w.scheme.reconfigure(&ctx);
-                w.window_be = 0;
-                w.window_strict = 0;
-                desired
-            };
-            if let Some(geometry) = desired {
-                if geometry != *self.workers[idx].gpu.geometry() && self.reconfig_slots_free() {
-                    let _ = self.workers[idx].gpu.request_reconfigure(geometry);
-                    self.refresh_index(idx);
-                    self.maybe_begin_reconfigure(idx);
-                }
-            }
-        }
-        // Safety: drain the gateway backlog if any worker is routable.
-        self.drain_backlog();
-        if now + self.config.monitor_interval <= self.cutoff {
-            self.queue
-                .push(now + self.config.monitor_interval, Event::MonitorTick);
-        }
-    }
-
-    /// EWMA smoothing factor for the per-(worker, model) batch-arrival
-    /// predictor behind predictive container pre-provisioning.
-    const PREWARM_EWMA_ALPHA: f64 = 0.3;
-
-    /// Extension: EWMA-forecast next-window batch arrivals per model and
-    /// boot missing containers ahead of demand. Predictions are only
-    /// *updated* for models that saw traffic this window — they persist
-    /// (rather than decaying to zero) while a model rotates out, so its
-    /// keep-alive-expired containers are re-booted before it returns.
-    fn predictive_prewarm_tick(&mut self, idx: usize) {
-        let now = self.now;
-        let w = &mut self.workers[idx];
-        // The window map is retained (counts zeroed in place) rather
-        // than `mem::take`n: taking it reallocated the BTreeMap nodes
-        // every monitor interval. Zero-count entries are models from
-        // earlier windows; skipping them reproduces the taken map's
-        // observe sequence exactly (same models, same BTreeMap order).
-        for (&model, count) in w.window_batches.iter_mut() {
-            if *count > 0 {
-                w.predicted_batches
-                    .entry(model)
-                    .or_insert_with(|| protean_sim::Ewma::new(Self::PREWARM_EWMA_ALPHA))
-                    .observe(*count as f64);
-                *count = 0;
-            }
-        }
-        if !self.config.predictive_prewarm || !matches!(w.status, WorkerStatus::Up) {
-            return;
-        }
-        let vm_epoch = w.vm_epoch;
-        let predictions: Vec<(ModelId, f64)> = w
-            .predicted_batches
-            .iter()
-            .map(|(m, e)| (*m, e.predict()))
-            .collect();
-        for (model, predicted) in predictions {
-            let pool = w.pools.entry(model).or_default();
-            let desired = predicted.ceil() as u32;
-            let have = pool.total_containers();
-            for _ in have..desired {
-                pool.boot_proactive();
-                self.queue.push(
-                    now + self.config.cold_start,
-                    Event::BootDone {
-                        worker: idx,
-                        model,
-                        vm_epoch,
-                    },
-                );
-            }
-        }
-    }
-
-    fn reconfig_slots_free(&self) -> bool {
-        // Up workers with a non-accepting GPU are exactly the index's
-        // routable tier minus its accepting tier — O(1) instead of a
-        // per-worker-per-tick fleet walk.
-        let busy = if self.config.reference_dispatch {
-            self.workers
-                .iter()
-                .filter(|w| !w.gpu.accepting() && matches!(w.status, WorkerStatus::Up))
-                .count()
-        } else {
-            self.index.routable_len() - self.index.accepting_len()
-        };
-        let cap = ((self.config.max_reconfig_fraction * self.workers.len() as f64).ceil() as usize)
-            .max(1);
-        busy < cap
-    }
-
-    fn maybe_begin_reconfigure(&mut self, idx: usize) {
-        let w = &mut self.workers[idx];
-        if matches!(w.gpu.state(), protean_gpu::GpuState::Draining { .. }) && w.gpu.is_idle() {
-            if let Ok(until) = w.gpu.try_begin_reconfigure(self.now) {
-                let epoch = w.epoch;
-                self.queue
-                    .push(until, Event::ReconfigDone { worker: idx, epoch });
-            }
-        }
-    }
-
-    fn on_reconfig_done(&mut self, idx: usize, epoch: u64) {
-        let w = &mut self.workers[idx];
-        if w.epoch != epoch {
-            return; // VM replaced while reconfiguring
-        }
-        if w.gpu.complete_reconfigure(self.now).is_ok() {
-            w.epoch += 1;
-            self.reconfigs += 1;
-            let geometry = w.gpu.geometry().to_string();
-            self.journal.record(
-                self.now,
-                JournalEvent::Reconfigured {
-                    worker: idx,
-                    geometry: geometry.clone(),
-                },
-            );
-            self.geometry_timeline.push(GeometryChange {
-                at: self.now,
-                worker: idx,
-                geometry,
-            });
-            self.refresh_index(idx);
-            self.try_place(idx);
-        }
-    }
-
-    // ---- spot market ----------------------------------------------------
-
-    fn on_revocation_check(&mut self, idx: usize) {
-        let w = &self.workers[idx];
-        if !matches!(w.status, WorkerStatus::Up) || !matches!(w.vm, Some((_, VmTier::Spot))) {
-            return;
-        }
-        if let Some(lead) = self.market.roll_revocation(self.now, idx) {
-            let evict_at = self.now + lead;
-            self.workers[idx].status = WorkerStatus::Evicting { evict_at };
-            self.refresh_index(idx);
-            self.journal.record(
-                self.now,
-                JournalEvent::EvictionNotice {
-                    worker: idx,
-                    evict_at,
-                },
-            );
-            self.evictions += 1;
-            self.queue
-                .push(evict_at, Event::EvictionFinal { worker: idx });
-            // Immediately procure a replacement (§4.5).
-            self.procure_replacement(idx);
-        } else {
-            self.queue.push(
-                self.now + self.config.revocation_check,
-                Event::RevocationCheck { worker: idx },
-            );
-        }
-    }
-
-    fn procure_replacement(&mut self, idx: usize) {
-        let granted = self.market.try_acquire_spot(self.now, idx);
-        match self.config.procurement.replacement_tier(granted) {
-            Some(tier) => {
-                self.queue.push(
-                    self.now + self.config.vm_startup,
-                    Event::VmReady { worker: idx, tier },
-                );
-            }
-            None => {
-                self.queue.push(
-                    self.now + self.config.procurement_retry,
-                    Event::ProcurementRetry { worker: idx },
-                );
-            }
-        }
-    }
-
-    fn on_eviction_final(&mut self, idx: usize) {
-        if !matches!(self.workers[idx].status, WorkerStatus::Evicting { .. }) {
-            return;
-        }
-        if let Some((vm, _)) = self.workers[idx].vm.take() {
-            self.ledger.close(vm, self.now);
-        }
-        self.journal
-            .record(self.now, JournalEvent::Evicted { worker: idx });
-        // Everything still on this worker is re-dispatched elsewhere.
-        let orphans = self.workers[idx].drain_all_batches();
-        self.workers[idx].epoch += 1;
-        match self.workers[idx].pending_vm.take() {
-            Some((vm, tier)) => self.install_vm(idx, vm, tier),
-            None => {
-                self.workers[idx].status = WorkerStatus::Down;
-                self.refresh_index(idx);
-            }
-        }
-        for mut b in orphans {
-            b.redispatched = true;
-            self.dispatch_batch(b);
-        }
-    }
-
-    fn on_vm_ready(&mut self, idx: usize, tier: VmTier) {
-        match self.workers[idx].status {
-            WorkerStatus::Evicting { .. } => {
-                // Old VM still draining: stand by until it is reclaimed.
-                let vm = self.ledger.allocate_id();
-                self.ledger.open(vm, tier, self.now);
-                self.workers[idx].pending_vm = Some((vm, tier));
-            }
-            WorkerStatus::Down => {
-                let vm = self.ledger.allocate_id();
-                self.ledger.open(vm, tier, self.now);
-                self.install_vm(idx, vm, tier);
-            }
-            WorkerStatus::Up => {
-                // Defensive: double procurement should not happen. The
-                // grant is declined before any ledger entry is opened —
-                // an open-then-close at the same instant would bill
-                // nothing but pollute the ledger's closed-VM count.
-            }
-        }
-    }
-
-    fn install_vm(&mut self, idx: usize, vm: VmId, tier: VmTier) {
-        // Any running work was already drained.
-        self.workers[idx].running.clear();
-        self.workers[idx].reset_runtime(self.now);
-        self.workers[idx]
-            .gpu
-            .set_reconfig_delay(self.config.reconfig_delay);
-        self.workers[idx].vm = Some((vm, tier));
-        self.workers[idx].status = WorkerStatus::Up;
-        self.refresh_index(idx);
-        self.journal
-            .record(self.now, JournalEvent::VmInstalled { worker: idx });
-        if tier == VmTier::Spot {
-            self.queue.push(
-                self.now + self.config.revocation_check,
-                Event::RevocationCheck { worker: idx },
-            );
-        }
-        self.drain_backlog();
-    }
-
-    fn on_procurement_retry(&mut self, idx: usize) {
-        if matches!(self.workers[idx].status, WorkerStatus::Down) {
-            self.procure_replacement(idx);
-        }
-    }
-
-    /// Safety valve: re-dispatches gateway-backlogged batches once a
-    /// routable worker exists. One pass over the original pending set —
-    /// a batch that lands back in the backlog during the pass stays
-    /// there for the next drain (counted as churn) instead of being
-    /// re-drained in a loop within the same call.
-    fn drain_backlog(&mut self) {
-        if self.backlog.is_empty() {
-            return;
-        }
-        let routable = if self.config.reference_dispatch {
-            self.workers.iter().any(Worker::routable)
-        } else {
-            self.index.any_routable()
-        };
-        if !routable {
-            return;
-        }
-        let pending: Vec<Batch> = self.backlog.drain(..).collect();
-        for b in pending {
-            self.dispatch_batch(b);
-        }
-        self.stats.backlog_requeued += self.backlog.len() as u64;
-    }
-
-    // ---- teardown --------------------------------------------------------
-
-    fn censor_remaining(&mut self) {
-        let now = self.now;
-        let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
-        for w in &mut self.workers {
-            for b in w.drain_all_batches() {
-                for r in b.requests {
-                    leftovers.push((b.model, b.strict, r));
-                }
-            }
-        }
-        for b in std::mem::take(&mut self.backlog) {
-            for r in b.requests {
-                leftovers.push((b.model, b.strict, r));
-            }
-        }
-        for acc in self.accumulators.values_mut() {
-            for r in acc.drain() {
-                leftovers.push((r.model, r.strict, r));
-            }
-        }
-        let measure_from = SimTime::ZERO + self.config.warmup;
-        for (model, strict, r) in leftovers {
-            if r.arrival < measure_from {
-                continue;
-            }
-            self.censored += 1;
-            let total_ms = now.saturating_since(r.arrival).as_millis_f64();
-            self.metrics.push(RequestRecord {
-                model,
-                strict,
-                arrival: r.arrival,
-                completion: now,
-                breakdown: LatencyBreakdown {
-                    queueing_ms: total_ms,
-                    ..LatencyBreakdown::default()
-                },
-            });
-        }
-    }
-
-    fn into_result(mut self, scheme: String) -> SimulationResult {
-        let now = self.now;
-        // Close any still-open VMs for final billing.
-        let open: Vec<VmId> = self
-            .workers
-            .iter_mut()
-            .filter_map(|w| w.vm.take().map(|(id, _)| id))
-            .collect();
-        for vm in open {
-            self.ledger.close(vm, now);
-        }
-        let cost = CostReport {
-            total_usd: self.ledger.total_cost(now),
-            spot_usd: self.ledger.cost_by_tier(VmTier::Spot, now),
-            on_demand_usd: self.ledger.cost_by_tier(VmTier::OnDemand, now),
-            evictions: self.evictions,
-        };
-        let n = self.workers.len() as f64;
-        let per_gpu_compute_utilization: Vec<f64> = self
-            .workers
-            .iter()
-            .map(|w| w.gpu.compute_utilization(now))
-            .collect();
-        let per_gpu_memory_utilization: Vec<f64> = self
-            .workers
-            .iter()
-            .map(|w| w.gpu.memory_utilization(now))
-            .collect();
-        let compute_utilization = per_gpu_compute_utilization.iter().sum::<f64>() / n;
-        let memory_utilization = per_gpu_memory_utilization.iter().sum::<f64>() / n;
-        let cold_starts = self.workers.iter().map(Worker::cold_starts).sum();
-        let proactive_boots = self.workers.iter().map(Worker::proactive_boots).sum();
-        let stats = EngineStats {
-            events_pushed: self.queue.pushed(),
-            events_popped: self.queue.popped(),
-            peak_heap_len: self.queue.peak_len(),
-            index_updates: self.index.updates(),
-            ..self.stats
-        };
-        SimulationResult {
-            scheme,
-            metrics: self.metrics,
-            cost,
-            compute_utilization,
-            memory_utilization,
-            per_gpu_compute_utilization,
-            per_gpu_memory_utilization,
-            cold_starts,
-            reconfigs: self.reconfigs,
-            censored: self.censored,
-            geometry_timeline: self.geometry_timeline,
-            strict_latency_timeline: self.strict_latency_timeline,
-            journal: self.journal,
-            stats,
-            audit: self.audit.into_report(),
-            proactive_boots,
-            duration: self.cutoff.saturating_since(SimTime::ZERO) - self.config.drain_grace,
-            workers: self.workers.len(),
-        }
-    }
+    crate::sharded::run_stream(config, scheme, trace_config, oracle)
 }
 
 impl SchemeBuilder for &dyn SchemeBuilder {
@@ -1812,7 +516,8 @@ mod tests {
     use super::*;
     use crate::schemes_for_test::AlwaysLargest;
     use protean_metrics::record::Class;
-    use protean_trace::TraceShape;
+    use protean_spot::VmTier;
+    use protean_trace::{Request, TraceShape};
 
     fn trace(rps: f64, secs: f64, strict_fraction: f64) -> TraceConfig {
         TraceConfig {

@@ -53,8 +53,8 @@ struct ScriptedEviction {
 /// (`worker, now >= at`) with the **earliest `at`**, breaking ties by
 /// arming order. Checks with no matching entry return no notice. The
 /// selection depends only on the script and the check's `(now, worker)`,
-/// never on global check interleaving, so the sequential and sharded
-/// engines — which visit workers in different orders — consume
+/// never on global check interleaving, so runs at different shard
+/// counts — which may visit workers in different orders — consume
 /// identical scripts identically.
 ///
 /// Acquisitions: each spot-acquisition roll pops the front of the
@@ -193,7 +193,7 @@ mod tests {
 
     /// Identical `at` on the same worker: arming order breaks the tie,
     /// and the documented order holds on a fresh clone (the scenario
-    /// runner clones one script into the sequential and sharded arms).
+    /// runner clones one script into the one-shard and sharded arms).
     #[test]
     fn identical_at_resolves_in_arming_order_across_clones() {
         let script = ScriptedMarket::new()

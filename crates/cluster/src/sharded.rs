@@ -1,5 +1,7 @@
-//! Sharded fleet engine: parallel discrete-event simulation inside a
-//! single run, bit-identical to the sequential [`crate::engine`].
+//! The cluster engine: one discrete-event state machine for the
+//! gateway (batching, dispatch), MIG placement and reconfiguration,
+//! container autoscaling and the spot-VM lifecycle (paper §4.2–4.5),
+//! with optional parallelism inside a single run.
 //!
 //! # Partition
 //!
@@ -9,7 +11,7 @@
 //! * its workers (GPU, pools, queues, running batches),
 //! * a [`KeyedEventQueue`] holding the worker-local event classes
 //!   ([`ShardEvent`]: container boots, job completions, reconfiguration
-//!   completions),
+//!   completions) and their handlers,
 //! * a fleet-width [`DispatchIndex`] populated only in its own slots,
 //! * its slice of every output stream (metrics, journal, timelines,
 //!   engine stats).
@@ -18,54 +20,75 @@
 //! market and VM ledger, the batch-id allocator, the auditor — lives on
 //! the single [`Coordinator`], which also executes every serial event
 //! class ([`CoordEvent`]: window expiries, monitor ticks, the whole
-//! spot-VM lifecycle) and every arrival, in exactly the sequential
-//! engine's order.
+//! spot-VM lifecycle) and every arrival, in one global order. Each
+//! lifecycle handler has exactly one definition: worker-local ones on
+//! [`ShardCore`], serial ones on the coordinator.
+//!
+//! `S = 1` (the default) is one shard core run inline by the
+//! coordinator: the same loop, phases and merge, with no threads, no
+//! per-worker division and no timeline merge keys.
 //!
 //! # Phases and the key scheme
 //!
 //! Between two serial steps the coordinator runs a *phase*: every shard
 //! advances its own queue up to an exclusive [`EventKey`] bound, in
-//! parallel. Bit-identity rests on the keys:
+//! parallel where threads exist. Bit-identity across shard counts rests
+//! on the keys:
 //!
 //! * Serial-context pushes (coordinator) take `(time, ++gseq, 0)` —
-//!   `gseq` is the global push counter, so their relative order is the
-//!   sequential engine's FIFO insertion order.
+//!   `gseq` is the global push counter, so their relative order is FIFO
+//!   insertion order.
 //! * Phase pushes by shard `s` take `(time, G, ((s+1) << 48) | ++ctr)`
 //!   where `G` is the `gseq` snapshot at phase start and `ctr` is the
 //!   shard's monotone counter. They sort after everything pushed
 //!   serially before the phase and before everything pushed after it —
-//!   exactly where the sequential engine's internal counter would have
-//!   put them.
+//!   exactly where a single insertion counter would have put them.
 //! * An arrival at `ta` bounds the phase at `(ta, 0, 0)`: real event
-//!   keys carry `major ≥ 1`, so events *at* `ta` wait — the sequential
-//!   `ta <= te` arrival-wins rule.
+//!   keys carry `major ≥ 1`, so events *at* `ta` wait — an arrival wins
+//!   its tie against every event at the same instant.
 //!
 //! Two phase events with the *same* time but different shards may pop
-//! in a different relative order than sequentially. That is harmless by
+//! in a different relative order than at `S = 1`. That is harmless by
 //! construction: phase handlers touch only their own shard's state and
 //! append to mergeable output buffers, so their effects commute; every
 //! shared-state mutation happens on the coordinator in serial order.
 //!
+//! Consecutive dispatch-shaped events (arrivals and window expiries)
+//! coalesce into one *dispatch run* whenever the phase between them is
+//! provably empty; see [`Coordinator::dispatch_run`].
+//!
 //! # Merge
 //!
-//! Journal entries, audit hook calls and timeline points are buffered
-//! as `(ctx_key, n, payload)` where `ctx_key` identifies the execution
+//! Journal entries and audit hook calls are buffered as
+//! `(ctx_key, n, payload)` where `ctx_key` identifies the execution
 //! context (the popped event's key, or `(ta, 0, ++dseq)` for the
-//! `dseq`-th arrival) and `n` counts records within the context. A sort
-//! by `(ctx_key, n)` reconstructs the sequential recording order
-//! exactly. Metrics merge by [`MetricsSet::absorb`]; the golden digest
-//! is insensitive to record order (it ranks sorted latencies and exact
-//! counters), which is what makes per-shard record buffers safe.
+//! `dseq`-th arrival) and `n` counts records within the context; at
+//! `S > 1` the timelines record the same `(ctx_key, n)` key per point.
+//! A sort by `(ctx_key, n)` reconstructs the serial recording order
+//! exactly. Metrics merge by [`MetricsSet::absorb`] in shard order, the
+//! censored requests last; the golden digest is insensitive to record
+//! order (it ranks sorted latencies and exact counters), which is what
+//! makes per-shard record buffers safe.
+//!
+//! # Oracles
+//!
+//! `S = 1` and `S = k` share this code, so neither checks the other's
+//! logic. The independent oracles are the 26 recorded golden digests
+//! (`tests/golden_seed.rs`), [`ClusterConfig::reference_dispatch`] (a
+//! linear fleet scan in place of the dispatch index, at any `S`) and
+//! `max_epoch_arrivals = 1` (no run coarsening: every dispatch event is
+//! its own epoch).
 //!
 //! # Documented deviations (none digest-visible)
 //!
-//! * `EngineStats::peak_heap_len` is the *sum* of per-queue peaks (the
+//! * `EngineStats::peak_heap_len` is the *sum* of per-queue peaks — the
+//!   coordinator heap plus every shard heap, so also at `S = 1` (the
 //!   queues peak at different instants).
 //! * `dispatch_scan_visits` grows ~`S`-fold: each dispatch reduction
 //!   queries every shard's index root.
-//! * The auditor counts the same sweep opportunities (and reports the
-//!   same `checks`), but physically collapses the sweeps inside one
-//!   phase into a single fleet sweep at the phase boundary.
+//! * The auditor counts the same sweep opportunities at every `S` (and
+//!   reports the same `checks`), but physically collapses the sweeps
+//!   inside one phase into a single fleet sweep at the phase boundary.
 //! * `AuditReport`/journal/stats are not digest material; all digest
 //!   fields (counts, sorted latencies, cost, utilization, cold starts,
 //!   reconfigs, censored, evictions) merge exactly.
@@ -77,7 +100,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use protean_gpu::{JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
 use protean_models::{Catalog, ModelId};
-use protean_sim::{EventKey, KeyedEventQueue, RngFactory, SimRng, SimTime, TimeSeries};
+use protean_sim::{
+    EventKey, KeyedEventQueue, RngFactory, SimDuration, SimRng, SimTime, TimeSeries,
+};
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Lookahead, Request, Trace, TraceConfig, TraceStream};
 
@@ -89,6 +114,10 @@ use crate::engine::{ClusterConfig, CostReport, EngineStats, GeometryChange, Simu
 use crate::journal::{Journal, JournalEvent};
 use crate::scheme::{BatchView, DispatchPolicy, PlacementCtx, ReconfigCtx, SchemeBuilder};
 use crate::worker::{RunningBatch, Worker, WorkerStatus};
+
+/// EWMA smoothing factor for the per-(worker, model) batch-arrival
+/// predictor behind predictive container pre-provisioning.
+const PREWARM_EWMA_ALPHA: f64 = 0.3;
 
 /// Epoch value signalling shard worker threads to exit.
 const SHUTDOWN: u64 = u64::MAX;
@@ -213,6 +242,66 @@ fn next_event_key(ctx: &mut Ctx<'_>, shard: usize, ctr: &mut u64, time: SimTime)
     }
 }
 
+/// One shard's slice of an output timeline, in the shard's handling
+/// order. With several shards each entry also records its `(ctx_key,
+/// n)` merge key; a lone shard handles every event in increasing
+/// context-key order already, so its entries need neither keys nor a
+/// merge.
+struct Timeline<T> {
+    entries: Vec<T>,
+    keys: Vec<(EventKey, u64)>,
+    keyed: bool,
+}
+
+impl<T> Default for Timeline<T> {
+    fn default() -> Self {
+        Timeline::new(false)
+    }
+}
+
+impl<T> Timeline<T> {
+    fn new(keyed: bool) -> Self {
+        Timeline {
+            entries: Vec::new(),
+            keys: Vec::new(),
+            keyed,
+        }
+    }
+
+    fn push(&mut self, ctx: &mut Ctx<'_>, entry: T) {
+        let n = ctx.next_n();
+        if self.keyed {
+            self.keys.push((ctx.ctx_key, n));
+        }
+        self.entries.push(entry);
+    }
+
+    /// Merges the shards' slices into serial `(ctx_key, n)` order.
+    fn merge(mut parts: Vec<Timeline<T>>) -> Vec<T> {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part").entries;
+        }
+        let mut keyed: Vec<((EventKey, u64), T)> = parts
+            .into_iter()
+            .flat_map(|p| p.keys.into_iter().zip(p.entries))
+            .collect();
+        keyed.sort_unstable_by_key(|e| e.0);
+        keyed.into_iter().map(|(_, e)| e).collect()
+    }
+}
+
+/// Walks the workers of `cores` (all shards, in shard order) in global
+/// index order: worker `g` is local slot `g / S` of shard `g % S`, so
+/// row `l` of the shards holds workers `l * S .. (l + 1) * S` — no
+/// per-worker division.
+fn global_order<'c, I>(cores: I) -> impl Iterator<Item = &'c Worker>
+where
+    I: Iterator<Item = &'c ShardCore> + Clone,
+{
+    let rows = cores.clone().next().map_or(0, |c| c.workers.len());
+    (0..rows).flat_map(move |l| cores.clone().filter_map(move |c| c.workers.get(l)))
+}
+
 /// One shard's exclusively-owned state. During a phase exactly one
 /// thread touches a given core; between phases only the coordinator
 /// does.
@@ -225,8 +314,9 @@ struct ShardCore {
     /// `shard + l * stride`. `Worker::idx` stays global.
     workers: Vec<Worker>,
     /// Per-owned-worker execution-jitter streams
-    /// (`indexed_stream("engine.exec_jitter", global_idx)`), identical
-    /// to the sequential engine's per-worker streams.
+    /// (`indexed_stream("engine.exec_jitter", global_idx)`): a worker's
+    /// jitter sequence depends only on its own placement history, so it
+    /// is the same at every shard count.
     jitter_rngs: Vec<SimRng>,
     queue: KeyedEventQueue<ShardEvent>,
     /// Fleet-width index with only this shard's slots populated; keys
@@ -238,10 +328,10 @@ struct ShardCore {
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
     /// Buffered phase-context audit hooks.
     hook_buf: Vec<(EventKey, u64, Hook)>,
-    /// Per-strict-batch latency samples.
-    strict_lat_buf: Vec<(EventKey, u64, f64)>,
+    /// Per-strict-batch latency samples `(completion, mean latency ms)`.
+    strict_latency: Timeline<(SimTime, f64)>,
     /// Completed MIG geometry changes.
-    geom_buf: Vec<(EventKey, u64, GeometryChange)>,
+    geometry: Timeline<GeometryChange>,
     /// Reusable candidate buffer for `try_place`.
     scratch_views: Vec<(BatchId, BatchView)>,
     stats: EngineStats,
@@ -289,8 +379,8 @@ impl ShardCore {
             },
             journal_buf: Vec::new(),
             hook_buf: Vec::new(),
-            strict_lat_buf: Vec::new(),
-            geom_buf: Vec::new(),
+            strict_latency: Timeline::new(stride > 1),
+            geometry: Timeline::new(stride > 1),
             scratch_views: Vec::new(),
             stats: EngineStats::default(),
             reconfigs: 0,
@@ -301,10 +391,15 @@ impl ShardCore {
         }
     }
 
-    /// Global worker index → local slot.
+    /// Global worker index → local slot. A lone shard is the identity
+    /// partition, so `S = 1` pays no division.
     fn local(&self, g: usize) -> usize {
         debug_assert_eq!(g % self.stride, self.shard, "worker {g} not on this shard");
-        g / self.stride
+        if self.stride == 1 {
+            g
+        } else {
+            g / self.stride
+        }
     }
 
     fn refresh_index(&mut self, l: usize) {
@@ -382,13 +477,17 @@ impl ShardCore {
         }
     }
 
-    // ---- handler ports (bit-identical to crate::engine) -------------
+    // ---- worker-local handlers --------------------------------------
 
     fn on_boot_done(&mut self, ctx: &mut Ctx<'_>, g: usize, model: ModelId, vm_epoch: u64) {
         let l = self.local(g);
         let now = ctx.now;
         let w = &mut self.workers[l];
         if w.vm_epoch != vm_epoch {
+            // The VM this container was booting on has been replaced;
+            // the boot died with it (the replacement VM's pools started
+            // empty). Crediting it would mint a phantom container — or
+            // underflow the fresh pool's booting count.
             self.stats.stale_boot_events += 1;
             return;
         }
@@ -450,6 +549,8 @@ impl ShardCore {
         if !w.running.contains_key(&batch_id) {
             return;
         }
+        // Re-arm the slice's single live finish event for the jobs still
+        // resident (the all-jobs discipline would have re-pushed each).
         let new_epoch = w.epoch;
         self.stats.finish_events_all_jobs += w.gpu.slice(slice).job_count() as u64;
         if let Some(c) = next {
@@ -531,6 +632,8 @@ impl ShardCore {
             let w = &mut self.workers[l];
             w.outstanding = w.outstanding.saturating_sub(1);
         }
+        // The timeline grows O(#strict batches); aggregate-metrics runs
+        // trade it away for the flat-RSS guarantee.
         if running.batch.strict && !ctx.config.aggregate_metrics {
             let mean_lat_ms = running
                 .batch
@@ -539,15 +642,15 @@ impl ShardCore {
                 .map(|r| now.saturating_since(r.arrival).as_millis_f64())
                 .sum::<f64>()
                 / running.batch.requests.len().max(1) as f64;
-            let n = ctx.next_n();
-            self.strict_lat_buf.push((ctx.ctx_key, n, mean_lat_ms));
+            self.strict_latency.push(ctx, (now, mean_lat_ms));
         }
         self.refresh_index(l);
     }
 
-    /// The placement loop, verbatim from the sequential engine except
-    /// that event pushes go through [`next_event_key`] and the journal
-    /// and audit hooks through the context's buffers/sink.
+    /// The placement loop: offers the worker's queued batches (up to
+    /// `scan_depth`) to the scheme until a pass places nothing. Event
+    /// pushes go through [`next_event_key`], the journal and audit hooks
+    /// through the context's buffers/sink.
     fn try_place(&mut self, ctx: &mut Ctx<'_>, g: usize) {
         let l = self.local(g);
         let mut views = std::mem::take(&mut self.scratch_views);
@@ -589,6 +692,9 @@ impl ShardCore {
                 }
                 let profile = ctx.catalog.profile(view.model);
                 let slice_profile = self.workers[l].gpu.slice(p.slice).profile();
+                // Inference batch latency is affine in batch size (see
+                // ModelProfile::fill_factor), so partial (window-sealed)
+                // batches run proportionally faster.
                 let fill = f64::from(view.size) / f64::from(profile.batch_size);
                 let fill_factor = profile.fill_factor(fill);
                 let jitter = if ctx.config.exec_jitter_sigma > 0.0 {
@@ -603,7 +709,10 @@ impl ShardCore {
                     .mul_f64(p.solo_scale.max(0.0) * fill_factor * jitter);
                 if self.workers[l].gpu.slice(p.slice).mode() == protean_gpu::SharingMode::TimeShared
                 {
-                    solo += protean_sim::SimDuration::from_millis(
+                    // Context switch between containers on a time-shared
+                    // GPU (weights/context re-activation), scaling with
+                    // the model's working set.
+                    solo += SimDuration::from_millis(
                         ctx.config.time_share_overhead_base_ms
                             + ctx.config.time_share_overhead_ms_per_gb * profile.mem_gb,
                     );
@@ -632,6 +741,9 @@ impl ShardCore {
                                 solo_7g_ms: profile.solo_7g.as_millis_f64() * fill_factor * jitter,
                             },
                         );
+                        // One live finish event per slice: the admit
+                        // bumped the generation, so whatever event was
+                        // armed before is now stale.
                         let epoch = w.epoch;
                         let job_count = w.gpu.slice(p.slice).job_count() as u64;
                         self.stats.finish_events_all_jobs += job_count;
@@ -700,16 +812,12 @@ impl ShardCore {
                     geometry: geometry.clone(),
                 },
             );
-            let n = ctx.next_n();
-            self.geom_buf.push((
-                ctx.ctx_key,
-                n,
-                GeometryChange {
-                    at: ctx.now,
-                    worker: g,
-                    geometry,
-                },
-            ));
+            let change = GeometryChange {
+                at: ctx.now,
+                worker: g,
+                geometry,
+            };
+            self.geometry.push(ctx, change);
             self.refresh_index(l);
             self.try_place(ctx, g);
         }
@@ -806,13 +914,13 @@ fn shard_worker_loop(
 /// What a run feeds the coordinator: a materialised request vector or a
 /// pair of lazy streams (arrivals + the prewarm pre-scan).
 enum Source {
-    Materialised(Vec<Request>, protean_sim::SimDuration),
+    Materialised(Vec<Request>, SimDuration),
     Streaming(Box<TraceStream>, Box<TraceStream>),
 }
 
-/// The serial half of the sharded engine: owns all shared state and
-/// runs every arrival and [`CoordEvent`] in sequential order, with
-/// shard phases in between.
+/// The serial half of the engine: owns all shared state and runs every
+/// arrival and [`CoordEvent`] in one global order, with shard phases in
+/// between.
 struct Coordinator<'a> {
     config: &'a ClusterConfig,
     catalog: &'a Catalog,
@@ -827,8 +935,8 @@ struct Coordinator<'a> {
     accumulators: HashMap<(ModelId, bool), Accumulator>,
     backlog: VecDeque<Batch>,
     coord_queue: KeyedEventQueue<CoordEvent>,
-    /// Global serial push counter — the sequential engine's event-queue
-    /// insertion counter, reified into the keys.
+    /// Global serial push counter — the insertion counter of one
+    /// FIFO-tie-broken event queue, reified into the keys.
     gseq: u64,
     /// Arrival-context counter for `(ta, 0, dseq)` merge keys.
     dseq: u64,
@@ -836,9 +944,6 @@ struct Coordinator<'a> {
     cutoff: SimTime,
     next_batch_id: u64,
     dispatch_policy: DispatchPolicy,
-    /// Censored-request records (pushed after the cutoff, merged last —
-    /// the same position they hold in the sequential record stream).
-    censor_metrics: MetricsSet,
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
     stats: EngineStats,
     audit: Auditor,
@@ -883,11 +988,6 @@ impl<'a> Coordinator<'a> {
             cutoff: SimTime::MAX,
             next_batch_id: 0,
             dispatch_policy,
-            censor_metrics: if config.aggregate_metrics {
-                MetricsSet::aggregate()
-            } else {
-                MetricsSet::new()
-            },
             journal_buf: Vec::new(),
             stats: EngineStats::default(),
             audit: Auditor::new(config.audit, config.audit_every_n),
@@ -926,8 +1026,29 @@ impl<'a> Coordinator<'a> {
         unsafe { &mut *self.cells[s].0.get() }
     }
 
-    /// Allocates a serial event key — the sequential engine's
-    /// `queue.push` counter position.
+    /// The shard core owning global worker `g` and `g`'s local slot in
+    /// it, for between-phase access (see [`Coordinator::core_mut`]).
+    fn slot(&self, g: usize) -> (&'a mut ShardCore, usize) {
+        let core = self.core_mut(self.shard_of(g));
+        let l = core.local(g);
+        (core, l)
+    }
+
+    /// The fleet's workers in global index order (between phases).
+    fn fleet(&self) -> impl Iterator<Item = &'a Worker> + '_ {
+        global_order((0..self.shards()).map(|s| self.core(s)))
+    }
+
+    /// The shard owning global worker `g`.
+    fn shard_of(&self, g: usize) -> usize {
+        match self.shards() {
+            1 => 0,
+            s => g % s,
+        }
+    }
+
+    /// Allocates a serial event key: the next global insertion-counter
+    /// position.
     fn serial_key(&mut self, time: SimTime) -> EventKey {
         self.gseq += 1;
         EventKey::new(time, self.gseq, 0)
@@ -958,7 +1079,7 @@ impl<'a> Coordinator<'a> {
         g: usize,
         f: impl FnOnce(&mut ShardCore, &mut Ctx<'_>, usize) -> R,
     ) -> R {
-        let core = self.core_mut(g % self.shards());
+        let core = self.core_mut(self.shard_of(g));
         let mut ctx = Ctx {
             config: self.config,
             catalog: self.catalog,
@@ -986,7 +1107,6 @@ impl<'a> Coordinator<'a> {
     // ---- startup ----------------------------------------------------
 
     fn provision_initial_vms(&mut self) {
-        let s_count = self.shards();
         for g in 0..self.total_workers() {
             let policy = self.config.procurement;
             let tier = match policy {
@@ -997,8 +1117,7 @@ impl<'a> Coordinator<'a> {
                 Some(tier) => {
                     let id = self.ledger.allocate_id();
                     self.ledger.open(id, tier, SimTime::ZERO);
-                    let core = self.core_mut(g % s_count);
-                    let l = core.local(g);
+                    let (core, l) = self.slot(g);
                     let w = &mut core.workers[l];
                     w.vm = Some((id, tier));
                     w.status = WorkerStatus::Up;
@@ -1011,8 +1130,7 @@ impl<'a> Coordinator<'a> {
                     }
                 }
                 None => {
-                    let core = self.core_mut(g % s_count);
-                    let l = core.local(g);
+                    let (core, l) = self.slot(g);
                     core.workers[l].status = WorkerStatus::Down;
                     self.push_coord(
                         SimTime::ZERO + self.config.procurement_retry,
@@ -1022,8 +1140,7 @@ impl<'a> Coordinator<'a> {
             }
         }
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % s_count);
-            let l = core.local(g);
+            let (core, l) = self.slot(g);
             core.refresh_index(l);
         }
         self.push_coord(
@@ -1081,10 +1198,8 @@ impl<'a> Coordinator<'a> {
     fn prewarm_models(&mut self, models: &[ModelId]) {
         let now = self.now;
         let count = self.config.prewarm_containers;
-        let s_count = self.shards();
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % s_count);
-            let l = core.local(g);
+            let (core, l) = self.slot(g);
             let w = &mut core.workers[l];
             let satisfied = models.iter().all(|m| {
                 w.pools
@@ -1149,21 +1264,34 @@ impl<'a> Coordinator<'a> {
         self.dispatch_batch(batch);
     }
 
+    /// Dispatcher: routes a sealed batch per the scheme's policy —
+    /// least-loaded live worker, or (INFless/Llama-style) consolidated
+    /// onto the fewest GPUs with memory headroom. Target selection goes
+    /// through the per-shard [`DispatchIndex`]es (O(S log W) per batch)
+    /// unless [`ClusterConfig::reference_dispatch`] selects the retained
+    /// O(W) fleet scan; both pick the identical worker.
     fn dispatch_batch(&mut self, batch: Batch) {
         self.stats.dispatch_batches += 1;
         let mut visits = 0u64;
-        let target = self.indexed_target(&batch, &mut visits);
+        let target = if self.config.reference_dispatch {
+            self.reference_target(&batch, &mut visits)
+        } else {
+            self.indexed_target(&batch, &mut visits)
+        };
         self.stats.dispatch_scan_visits += visits;
         match target {
             Some(g) => {
-                let core = self.core_mut(g % self.shards());
-                let l = core.local(g);
+                let (core, l) = self.slot(g);
                 let routable = core.workers[l].routable();
                 self.audit
                     .batch_dispatched(self.now, batch.id, g, routable, batch.redispatched);
                 let w = &mut core.workers[l];
                 let n = batch.requests.len() as u64;
                 w.outstanding += n;
+                // Per-window load counters feed the reconfiguration
+                // predictor; an eviction orphan's requests were already
+                // counted at first dispatch, so re-counting them here
+                // would double the apparent window load.
                 if !batch.redispatched {
                     if batch.strict {
                         w.window_strict += n;
@@ -1174,6 +1302,9 @@ impl<'a> Coordinator<'a> {
                 if !batch.strict {
                     w.last_be_model = Some(batch.model);
                 }
+                // Per-model dispatch counts drive predictive container
+                // pre-provisioning; the target worker needs a container
+                // whether or not the batch is an orphan.
                 *w.window_batches.entry(batch.model).or_insert(0) += 1;
                 core.refresh_index(l);
                 self.cjournal(JournalEvent::BatchDispatched {
@@ -1190,7 +1321,7 @@ impl<'a> Coordinator<'a> {
     /// Cross-shard reduction of the per-shard dispatch indices. Every
     /// shard's index is fleet-width with keys carrying global worker
     /// indices, so [`crate::dispatch::select_across`]'s min-over-roots
-    /// reduction equals the sequential fleet-wide scan: first-fit picks
+    /// reduction equals the fleet-wide scan: first-fit picks
     /// the smallest global index any shard can seat (each shard's
     /// descent is leftmost over its own slots), and the least-loaded
     /// tiers pick the min `(outstanding, idx)` root. Decision-only —
@@ -1207,11 +1338,40 @@ impl<'a> Coordinator<'a> {
         crate::dispatch::select_across((0..self.shards()).map(|s| &self.core(s).index), cap, visits)
     }
 
+    /// The original O(W) scans, retained as the differential reference
+    /// and the fleet-scale benchmark baseline
+    /// ([`ClusterConfig::reference_dispatch`]): the fleet in global
+    /// worker order `g in 0..W` across the shard cores. Preference
+    /// order matches the index path: consolidate first-fit when the
+    /// policy asks, then the least-loaded worker with an accepting GPU —
+    /// a GPU draining for reconfiguration gets no new traffic (§4.4
+    /// keeps downtime local) — then any live worker if every GPU is
+    /// mid-change, ties broken by `(outstanding, idx)`.
+    fn reference_target(&self, batch: &Batch, visits: &mut u64) -> Option<usize> {
+        if let DispatchPolicy::Consolidate { cap_batches } = self.dispatch_policy {
+            let cap = cap_batches * u64::from(self.catalog.profile(batch.model).batch_size);
+            let first_fit = self.fleet().find(|w| {
+                *visits += 1;
+                w.routable() && w.gpu.accepting() && w.outstanding < cap
+            });
+            if let Some(w) = first_fit {
+                return Some(w.idx);
+            }
+        }
+        let least_loaded = |visits: &mut u64, need_accepting: bool| {
+            *visits += self.total_workers() as u64;
+            self.fleet()
+                .filter(|w| w.routable() && (!need_accepting || w.gpu.accepting()))
+                .min_by_key(|w| (w.outstanding, w.idx))
+                .map(|w| w.idx)
+        };
+        least_loaded(visits, true).or_else(|| least_loaded(visits, false))
+    }
+
     fn acquire_container(&mut self, g: usize, batch: Batch) {
         let model = batch.model;
         let now = self.now;
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         let w = &mut core.workers[l];
         let pool = w.pools.entry(model).or_default();
         match pool.acquire(now) {
@@ -1301,7 +1461,7 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Applies the phase's buffered audit hooks in merged `(ctx_key, n)`
-    /// order — the order the sequential engine made the calls in.
+    /// order — the serial order of the calls.
     fn flush_hooks(&mut self, parts: &[usize]) {
         let mut hooks = std::mem::take(&mut self.scratch_hooks);
         hooks.clear();
@@ -1320,9 +1480,9 @@ impl<'a> Coordinator<'a> {
         self.scratch_hooks = hooks;
     }
 
-    /// Counts `opportunities` audit-sweep opportunities (the sequential
-    /// engine's one-per-handled-event cadence) and, if any came due,
-    /// runs one collapsed fleet sweep at `at`.
+    /// Counts `opportunities` audit-sweep opportunities (one per handled
+    /// event or dispatched arrival) and, if any came due, runs one
+    /// collapsed fleet sweep at `at`.
     fn audit_boundary(&mut self, at: SimTime, opportunities: u64) {
         if opportunities == 0 {
             return;
@@ -1342,23 +1502,14 @@ impl<'a> Coordinator<'a> {
                     .verify_partition(self.total_workers(), core.workers.iter()),
             );
         }
-        let fleet: Vec<&Worker> = (0..self.total_workers())
-            .map(|g| {
-                let core = self.core(g % self.shards());
-                &core.workers[core.local(g)]
-            })
-            .collect();
+        let fleet: Vec<&Worker> = self.fleet().collect();
         self.audit
             .sweep(at, fleet.into_iter(), &self.ledger, problems);
     }
 
     // ---- main loop --------------------------------------------------
 
-    fn run_arrivals<I: Iterator<Item = Request>>(
-        &mut self,
-        arrivals: I,
-        duration: protean_sim::SimDuration,
-    ) {
+    fn run_arrivals<I: Iterator<Item = Request>>(&mut self, arrivals: I, duration: SimDuration) {
         enum Step {
             Arrival,
             Coord,
@@ -1399,11 +1550,7 @@ impl<'a> Coordinator<'a> {
                         // *opens* a run instead of standing alone: the
                         // phase bounded at its key just completed, which
                         // is exactly the admission proof `dispatch_run`
-                        // requires of its first member. With
-                        // `coalesce_window_expiries` off the run is cut
-                        // immediately after this member — the PR-8
-                        // singleton-epoch discipline under the same
-                        // accounting.
+                        // requires of its first member.
                         self.dispatch_run(&mut arrivals);
                     } else {
                         self.now = ck.time;
@@ -1424,13 +1571,12 @@ impl<'a> Coordinator<'a> {
     /// Peels and dispatches one maximal *dispatch run* — the epoch
     /// coarsening at the heart of this engine's scalability on
     /// dispatch-dense traces. A run is a maximal sequence of
-    /// consecutive dispatch-shaped events: gateway arrivals and (with
-    /// [`ClusterConfig::coalesce_window_expiries`]) `WindowExpire`
-    /// batch-window dispatches, which route the pending window batch
-    /// through the same `DispatchIndex` path an arrival uses. The phase
-    /// bounded at the run's first member has just completed, so every
-    /// shard's next pending event (if any) sits at or after that
-    /// member's bound. Each run member is handled exactly as in
+    /// consecutive dispatch-shaped events: gateway arrivals and
+    /// `WindowExpire` batch-window dispatches, which route the pending
+    /// window batch through the same `DispatchIndex` path an arrival
+    /// uses. The phase bounded at the run's first member has just
+    /// completed, so every shard's next pending event (if any) sits at
+    /// or after that member's bound. Each run member is handled exactly as in
     /// per-arrival mode (serial context, live index resolution, full
     /// mutation, per-member audit opportunity); the run then *extends*
     /// to the next dispatch event only when the phase the per-arrival
@@ -1458,15 +1604,14 @@ impl<'a> Coordinator<'a> {
     /// in per-arrival mode (`run_phase` returns 0 before touching the
     /// epoch counter or the barrier, and a 0-event `audit_boundary` is
     /// a no-op), so eliding it is exact — bit-identical by
-    /// construction, for any workload, shard count, cap and knob
-    /// setting. Runs additionally cut at
+    /// construction, for any workload, shard count and cap. Runs
+    /// additionally cut at
     /// [`ClusterConfig::max_epoch_arrivals`] members, under
     /// journal-capacity pressure, and at the trace end / cutoff; every
     /// cut is attributed to exactly one cause so the counter triad
     /// reconciles (see [`Auditor::epoch_conservation`]).
     fn dispatch_run<I: Iterator<Item = Request>>(&mut self, arrivals: &mut Lookahead<I>) {
         let cap = self.config.max_epoch_arrivals.max(1);
-        let coalesce = self.config.coalesce_window_expiries;
         self.stats.epochs += 1;
         let mut members = 0u64;
         let mut expiry_members = 0u64;
@@ -1505,21 +1650,9 @@ impl<'a> Coordinator<'a> {
             members += 1;
             self.audit_boundary(self.now, 1);
 
-            // With coalescing off, an expiry-opened run is a singleton
-            // epoch by fiat (the PR-8 discipline) — and arrival-opened
-            // runs never admit expiries (below), so `first_is_expiry`
-            // here means this very member was the expiry.
-            if !coalesce && first_is_expiry {
-                self.stats.run_cutoffs.coalescing_off += 1;
-                break;
-            }
             let ta = arrivals.peek_arrival().filter(|&ta| ta <= self.cutoff);
             let next_expiry_key = match self.coord_queue.peek() {
-                Some((ck, CoordEvent::WindowExpire { .. }))
-                    if coalesce && ck.time <= self.cutoff =>
-                {
-                    Some(ck)
-                }
+                Some((ck, CoordEvent::WindowExpire { .. })) if ck.time <= self.cutoff => Some(ck),
                 _ => None,
             };
             if ta.is_none() && next_expiry_key.is_none() {
@@ -1550,8 +1683,8 @@ impl<'a> Coordinator<'a> {
                     break;
                 }
             } else {
-                // A non-dispatch coordinator event (or, with the knob
-                // off, a window expiry) beat the next arrival.
+                // A non-dispatch coordinator event beat the next
+                // arrival.
                 self.stats.run_cutoffs.serial_event += 1;
                 break;
             }
@@ -1588,21 +1721,16 @@ impl<'a> Coordinator<'a> {
 
     // ---- monitor ----------------------------------------------------
 
-    /// EWMA smoothing factor for the per-(worker, model) batch-arrival
-    /// predictor (must match the sequential engine's).
-    const PREWARM_EWMA_ALPHA: f64 = 0.3;
-
     fn on_monitor_tick(&mut self) {
         let now = self.now;
         for g in 0..self.total_workers() {
             let keep_alive = self.config.keep_alive;
-            let core = self.core_mut(g % self.shards());
-            let l = core.local(g);
+            let (core, l) = self.slot(g);
             for pool in core.workers[l].pools.values_mut() {
                 pool.expire_idle(now, keep_alive);
             }
             self.predictive_prewarm_tick(g);
-            let core = self.core_mut(g % self.shards());
+            let core = self.core_mut(self.shard_of(g));
             if !matches!(core.workers[l].status, WorkerStatus::Up) {
                 continue;
             }
@@ -1637,17 +1765,18 @@ impl<'a> Coordinator<'a> {
 
     fn predictive_prewarm_tick(&mut self, g: usize) {
         let now = self.now;
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         let w = &mut core.workers[l];
-        // Retained map, counts zeroed in place — see the sequential
-        // engine's prewarm tick for the allocation-saving rationale and
-        // the observe-sequence equivalence argument.
+        // The window map is retained (counts zeroed in place) rather
+        // than `mem::take`n: taking it reallocated the BTreeMap nodes
+        // every monitor interval. Zero-count entries are models from
+        // earlier windows; skipping them reproduces the taken map's
+        // observe sequence exactly (same models, same BTreeMap order).
         for (&model, count) in w.window_batches.iter_mut() {
             if *count > 0 {
                 w.predicted_batches
                     .entry(model)
-                    .or_insert_with(|| protean_sim::Ewma::new(Self::PREWARM_EWMA_ALPHA))
+                    .or_insert_with(|| protean_sim::Ewma::new(PREWARM_EWMA_ALPHA))
                     .observe(*count as f64);
                 *count = 0;
             }
@@ -1661,9 +1790,9 @@ impl<'a> Coordinator<'a> {
             .iter()
             .map(|(m, e)| (*m, e.predict()))
             .collect();
-        // Pool mutations happen in the sequential order; the event
-        // pushes are deferred past the worker borrow but consume `gseq`
-        // in the identical sequence.
+        // Pool mutations happen in model order; the event pushes are
+        // deferred past the worker borrow but consume `gseq` in the
+        // same sequence.
         let mut boots: Vec<(ModelId, u32)> = Vec::new();
         for (model, predicted) in predictions {
             let pool = w.pools.entry(model).or_default();
@@ -1707,8 +1836,7 @@ impl<'a> Coordinator<'a> {
     // ---- spot lifecycle ---------------------------------------------
 
     fn on_revocation_check(&mut self, g: usize) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         let w = &core.workers[l];
         if !matches!(w.status, WorkerStatus::Up) || !matches!(w.vm, Some((_, VmTier::Spot))) {
             return;
@@ -1751,8 +1879,7 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_eviction_final(&mut self, g: usize) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         if !matches!(core.workers[l].status, WorkerStatus::Evicting { .. }) {
             return;
         }
@@ -1776,8 +1903,7 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_vm_ready(&mut self, g: usize, tier: VmTier) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         match core.workers[l].status {
             WorkerStatus::Evicting { .. } => {
                 let vm = self.ledger.allocate_id();
@@ -1790,15 +1916,16 @@ impl<'a> Coordinator<'a> {
                 self.install_vm(g, vm, tier);
             }
             WorkerStatus::Up => {
-                // Defensive: double procurement should not happen (see
-                // the sequential engine's matching arm).
+                // Defensive: double procurement should not happen. The
+                // grant is declined before any ledger entry is opened —
+                // an open-then-close at the same instant would bill
+                // nothing but pollute the ledger's closed-VM count.
             }
         }
     }
 
     fn install_vm(&mut self, g: usize, vm: VmId, tier: VmTier) {
-        let core = self.core_mut(g % self.shards());
-        let l = core.local(g);
+        let (core, l) = self.slot(g);
         let w = &mut core.workers[l];
         w.running.clear();
         w.reset_runtime(self.now);
@@ -1817,7 +1944,7 @@ impl<'a> Coordinator<'a> {
     }
 
     fn on_procurement_retry(&mut self, g: usize) {
-        let core = self.core(g % self.shards());
+        let core = self.core(self.shard_of(g));
         if matches!(core.workers[core.local(g)].status, WorkerStatus::Down) {
             self.procure_replacement(g);
         }
@@ -1844,8 +1971,7 @@ impl<'a> Coordinator<'a> {
         let now = self.now;
         let mut leftovers: Vec<(ModelId, bool, Request)> = Vec::new();
         for g in 0..self.total_workers() {
-            let core = self.core_mut(g % self.shards());
-            let l = core.local(g);
+            let (core, l) = self.slot(g);
             for b in core.workers[l].drain_all_batches() {
                 for r in b.requests {
                     leftovers.push((b.model, b.strict, r));
@@ -1862,14 +1988,17 @@ impl<'a> Coordinator<'a> {
                 leftovers.push((r.model, r.strict, r));
             }
         }
+        // Censored records go after every completion: into the last
+        // shard's set, which the merge absorbs last.
         let measure_from = SimTime::ZERO + self.config.warmup;
+        let metrics = &mut self.core_mut(self.shards() - 1).metrics;
         for (model, strict, r) in leftovers {
             if r.arrival < measure_from {
                 continue;
             }
             self.censored += 1;
             let total_ms = now.saturating_since(r.arrival).as_millis_f64();
-            self.censor_metrics.push(RequestRecord {
+            metrics.push(RequestRecord {
                 model,
                 strict,
                 arrival: r.arrival,
@@ -1918,7 +2047,6 @@ impl<'a> Coordinator<'a> {
             coord_popped: self.coord_queue.popped(),
             coord_peak: self.coord_queue.peak_len(),
             ledger: self.ledger,
-            censor_metrics: self.censor_metrics,
             journal_buf: self.journal_buf,
             stats: self.stats,
             audit: self.audit,
@@ -1933,7 +2061,6 @@ impl<'a> Coordinator<'a> {
 /// needs that is not shard-local.
 struct CoordOutputs {
     ledger: VmLedger,
-    censor_metrics: MetricsSet,
     journal_buf: Vec<(EventKey, u64, JournalEvent)>,
     stats: EngineStats,
     audit: Auditor,
@@ -1947,8 +2074,8 @@ struct CoordOutputs {
 
 // ---- entry points ---------------------------------------------------
 
-/// [`crate::engine::run_trace_with_oracle`], sharded.
-pub(crate) fn run_trace_sharded(
+/// [`crate::engine::run_trace_with_oracle`]'s engine run.
+pub(crate) fn run_trace(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     trace: Trace,
@@ -1963,11 +2090,11 @@ pub(crate) fn run_trace_sharded(
     )
 }
 
-/// [`crate::engine::run_stream_with_oracle`], sharded. Labeled RNG
-/// streams are derived statelessly from `(seed, label)`, so the stream
-/// instances built here consume exactly the arrival draws the
-/// sequential engine's instances would.
-pub(crate) fn run_stream_sharded(
+/// [`crate::engine::run_stream_with_oracle`]'s engine run. Labeled RNG
+/// streams are derived statelessly from `(seed, label)`, so the two
+/// stream instances built here (arrivals and the prewarm pre-scan)
+/// draw exactly the arrivals a materialised trace holds.
+pub(crate) fn run_stream(
     config: &ClusterConfig,
     scheme: &dyn SchemeBuilder,
     trace_config: &TraceConfig,
@@ -2002,14 +2129,16 @@ fn run_sharded(
         })
         .collect();
     let syncs: Vec<ShardSync> = (0..shards).map(|_| ShardSync::new()).collect();
-    let budget = if config.shard_threads > 0 {
-        config.shard_threads
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
     // Shard 0 always runs inline on the coordinator; extra shards get
-    // threads while the budget lasts, the rest run inline too.
-    let spawnable = shards.min(budget).saturating_sub(1);
+    // threads while the budget lasts, the rest run inline too. A lone
+    // shard needs no budget (and skips the host query).
+    let spawnable = match (shards, config.shard_threads) {
+        (1, _) => 0,
+        (_, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        (_, budget) => budget,
+    }
+    .min(shards)
+    .saturating_sub(1);
     let mut outputs = None;
     {
         let cells = &cells;
@@ -2052,15 +2181,15 @@ fn merge_result(
     out: CoordOutputs,
     mut cores: Vec<ShardCore>,
 ) -> SimulationResult {
-    let shards = cores.len();
     let w_total = config.workers;
     let now = out.cutoff;
     let mut ledger = out.ledger;
     // Close any still-open VMs in global worker order for final billing.
-    for g in 0..w_total {
-        if let Some((id, _)) = cores[g % shards].workers[g / shards].vm.take() {
-            ledger.close(id, now);
-        }
+    let open: Vec<VmId> = global_order(cores.iter())
+        .filter_map(|w| w.vm.map(|(id, _)| id))
+        .collect();
+    for id in open {
+        ledger.close(id, now);
     }
     let cost = CostReport {
         total_usd: ledger.total_cost(now),
@@ -2069,29 +2198,19 @@ fn merge_result(
         evictions: out.evictions,
     };
     let n = w_total as f64;
-    let per_gpu_compute_utilization: Vec<f64> = (0..w_total)
-        .map(|g| {
-            cores[g % shards].workers[g / shards]
-                .gpu
-                .compute_utilization(now)
-        })
+    let per_gpu_compute_utilization: Vec<f64> = global_order(cores.iter())
+        .map(|w| w.gpu.compute_utilization(now))
         .collect();
-    let per_gpu_memory_utilization: Vec<f64> = (0..w_total)
-        .map(|g| {
-            cores[g % shards].workers[g / shards]
-                .gpu
-                .memory_utilization(now)
-        })
+    let per_gpu_memory_utilization: Vec<f64> = global_order(cores.iter())
+        .map(|w| w.gpu.memory_utilization(now))
         .collect();
-    // Identical float op order to the sequential mean: sum the per-GPU
+    // A fixed float op order at every shard count: sum the per-GPU
     // values in global worker order, then divide once.
     let compute_utilization = per_gpu_compute_utilization.iter().sum::<f64>() / n;
     let memory_utilization = per_gpu_memory_utilization.iter().sum::<f64>() / n;
-    let cold_starts: u64 = (0..w_total)
-        .map(|g| cores[g % shards].workers[g / shards].cold_starts())
-        .sum();
-    let proactive_boots: u64 = (0..w_total)
-        .map(|g| cores[g % shards].workers[g / shards].proactive_boots())
+    let cold_starts: u64 = global_order(cores.iter()).map(Worker::cold_starts).sum();
+    let proactive_boots: u64 = global_order(cores.iter())
+        .map(Worker::proactive_boots)
         .sum();
     let reconfigs: u64 = cores.iter().map(|c| c.reconfigs).sum();
 
@@ -2103,7 +2222,7 @@ fn merge_result(
         stats.events_pushed += c.queue.pushed();
         stats.events_popped += c.queue.popped();
         // Documented deviation: the sum of per-queue peaks, an upper
-        // bound on the sequential single-heap peak.
+        // bound on the number of events pending at once.
         peak += c.queue.peak_len();
         stats.index_updates += c.index.updates();
         stats.finish_events_pushed += c.stats.finish_events_pushed;
@@ -2113,42 +2232,27 @@ fn merge_result(
     }
     stats.peak_heap_len = peak;
 
-    let mut cores_iter = cores.iter_mut();
-    let first = cores_iter.next().expect("at least one shard");
-    let mut metrics = std::mem::replace(
-        &mut first.metrics,
-        if config.aggregate_metrics {
-            MetricsSet::aggregate()
-        } else {
-            MetricsSet::new()
-        },
-    );
-    for c in cores_iter {
-        metrics.absorb(std::mem::replace(
-            &mut c.metrics,
-            if config.aggregate_metrics {
-                MetricsSet::aggregate()
-            } else {
-                MetricsSet::new()
-            },
-        ));
+    // Shards in ascending order; the last holds the censored requests.
+    let mut metrics = std::mem::take(&mut cores[0].metrics);
+    for c in &mut cores[1..] {
+        metrics.absorb(std::mem::take(&mut c.metrics));
     }
-    metrics.absorb(out.censor_metrics);
 
-    let mut strict_points: Vec<(EventKey, u64, f64)> = Vec::new();
-    let mut geom_points: Vec<(EventKey, u64, GeometryChange)> = Vec::new();
-    for c in &mut cores {
-        strict_points.append(&mut c.strict_lat_buf);
-        geom_points.append(&mut c.geom_buf);
-    }
-    strict_points.sort_unstable_by_key(|&(k, n, _)| (k, n));
-    geom_points.sort_unstable_by_key(|g| (g.0, g.1));
     let mut strict_latency_timeline = TimeSeries::new();
-    for (k, _, v) in strict_points {
-        strict_latency_timeline.push(k.time, v);
+    for (t, v) in Timeline::merge(
+        cores
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.strict_latency))
+            .collect(),
+    ) {
+        strict_latency_timeline.push(t, v);
     }
-    let geometry_timeline: Vec<GeometryChange> =
-        geom_points.into_iter().map(|(_, _, g)| g).collect();
+    let geometry_timeline = Timeline::merge(
+        cores
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.geometry))
+            .collect(),
+    );
 
     let mut journal = Journal::new(config.journal_capacity);
     if config.journal_capacity > 0 {
@@ -2210,8 +2314,8 @@ mod tests {
     /// strict-latency timeline matches as a (time, value) multiset, and
     /// the journals record the same event population. (The journal's
     /// exact sequence may legally differ: two same-instant events on
-    /// different shards merge in shard-tag order, while the sequential
-    /// engine orders them by push sequence — their effects commute.)
+    /// different shards merge in shard-tag order, while a single shard
+    /// orders them by push sequence — their effects commute.)
     fn assert_equivalent(a: &SimulationResult, b: &SimulationResult) {
         assert_eq!(a.metrics.count(Class::All), b.metrics.count(Class::All));
         assert_eq!(
@@ -2438,7 +2542,7 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.serial_event, 1);
         assert_eq!(par.stats.run_cutoffs.trace_end, 1);
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
-        // Still bit-identical to the sequential engine on the same trace.
+        // Still bit-identical to the single-shard run of the same trace.
         let seq = crate::engine::run_simulation_on(
             &ClusterConfig {
                 audit: true,
@@ -2465,6 +2569,7 @@ mod tests {
         // 2.100 s arrival — and the tick itself is handled as a plain
         // serial event, not an epoch. The second run is the last
         // arrival plus its own window expiry, ending with the trace.
+        // The single-shard run peels the identical runs.
         let requests = vec![
             Request {
                 id: protean_trace::RequestId(0),
@@ -2501,26 +2606,6 @@ mod tests {
         assert_eq!(par.stats.run_cutoffs.trace_end, 1);
         assert_eq!(par.stats.run_cutoffs.total(), par.stats.epochs);
 
-        // Knob off: the PR-8 discipline. The first arrival run is cut
-        // by the (now inadmissible) 1.950 s expiry as a plain serial
-        // event; every expiry is then a singleton epoch cut by fiat,
-        // attributed to `coalescing_off`.
-        let mut off = config.clone();
-        off.coalesce_window_expiries = false;
-        let t = Trace::from_parts(requests.clone(), SimDuration::from_secs(3.0));
-        let off_r = crate::engine::run_simulation_on(&off, &AlwaysLargest, t);
-        assert!(off_r.audit.is_clean(), "{:?}", off_r.audit.violations);
-        assert_eq!(off_r.stats.arrivals, 3);
-        assert_eq!(off_r.stats.expiries, 3);
-        assert_eq!(off_r.stats.epochs, 5);
-        assert_eq!(off_r.stats.coalesced_arrivals, 1);
-        assert_eq!(off_r.stats.coalesced_expiries, 0);
-        assert_eq!(off_r.stats.run_cutoffs.serial_event, 1);
-        assert_eq!(off_r.stats.run_cutoffs.coalescing_off, 3);
-        assert_eq!(off_r.stats.run_cutoffs.trace_end, 1);
-        assert_eq!(off_r.stats.run_cutoffs.total(), off_r.stats.epochs);
-
-        // Both arms bit-identical to the sequential engine.
         let seq = crate::engine::run_simulation_on(
             &ClusterConfig {
                 audit: true,
@@ -2529,9 +2614,12 @@ mod tests {
             &AlwaysLargest,
             Trace::from_parts(requests, SimDuration::from_secs(3.0)),
         );
+        assert!(seq.audit.is_clean(), "{:?}", seq.audit.violations);
         assert_eq!(seq.stats.expiries, 3);
+        assert_eq!(seq.stats.epochs, 2);
+        assert_eq!(seq.stats.coalesced_expiries, 3);
+        assert_eq!(seq.stats.run_cutoffs, par.stats.run_cutoffs);
         assert_equivalent(&seq, &par);
-        assert_equivalent(&seq, &off_r);
     }
 
     #[test]

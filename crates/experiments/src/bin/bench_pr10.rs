@@ -1,39 +1,33 @@
-//! PR-10 benchmark reporter: the window-expiry coalescing differential
-//! sweep plus the first 100k-worker "planetary fleet" streamed cell,
-//! written to `results/bench_pr10.json` (analysis in `PERF.md`).
+//! Window-expiry coalescing sweep plus the 100k-worker "planetary
+//! fleet" streamed cell, written to `results/bench_pr10.json`
+//! (analysis in `PERF.md`).
 //!
 //! Two parts:
 //!
 //! **Sweep** — fleets of 2048 and 8192 workers, shard counts
 //! S ∈ {2, 4, 8}, on the wiki and pulse workloads of `bench_pr7/8`.
-//! Every cell runs the sequential engine once as the digest reference,
-//! then two sharded arms per shard count, both at the default
-//! coarsening cap:
-//!
-//! 1. `off` — `coalesce_window_expiries = false`, the PR-8 discipline:
-//!    every batch-window expiry is a singleton epoch, and an expiry
-//!    pending between two arrivals cuts the arrival run (the
-//!    serial-event cut PR-8's cut-cause table blamed for most wiki
-//!    epochs).
-//! 2. `on` — expiries are admitted into coarsened runs as dispatch
-//!    members when they win their key-order tie and no shard heap
-//!    holds an event below theirs, so a run only ends at a genuinely
-//!    serial coordinator event or a real shard conflict.
+//! Every cell runs one shard once as the digest reference, then one
+//! arm per shard count at the default coarsening cap. Window expiries
+//! join coarsened runs as dispatch members when they win their
+//! key-order tie and no shard heap holds an event below theirs, so a
+//! run only ends at a genuinely serial coordinator event or a real
+//! shard conflict.
 //!
 //! The headline metric is **epochs per dispatch event** —
 //! `epochs / (arrivals + expiries)`, the fraction of dispatch work
 //! that still pays a full coordinator round-trip. Deterministic floors
-//! (asserted on every host): wiki @ 2048 with the knob on stays at or
-//! below 0.15 epochs per dispatch event (measured 0.13; the residue is
-//! genuinely-nonempty phases — pending shard finish events — not
-//! serial cuts), the serial-event share of its run cuts stays below
-//! 40% (measured 0%), and the run partition is invariant in the shard
-//! count. Digest equality against the sequential reference is asserted
-//! on every arm of every cell.
+//! (asserted on every host): wiki @ 2048 stays at or below 0.15 epochs
+//! per dispatch event (measured 0.13; the residue is genuinely
+//! nonempty phases — pending shard finish events — not serial cuts),
+//! the serial-event share of its run cuts stays below 40% (measured
+//! 0%), and the run partition is the same at every shard count, the
+//! one-shard reference included. Digest equality against the
+//! reference is asserted on every arm of every cell, and every cell
+//! must record requests.
 //!
 //! **Planetary fleet** — 100 000 workers, `shards = 8`, a streamed
 //! diurnal trace with `aggregate_metrics`, RSS and live-byte ledgers
-//! sampled throughout. A sequential-vs-sharded-vs-streamed digest
+//! sampled throughout. A one-shard-vs-sharded-vs-streamed digest
 //! preflight on a truncated slice guards the run; both memory ledgers
 //! must stay flat (≤ 256 MB growth) past the quarter mark.
 //!
@@ -107,8 +101,8 @@ fn live_mb() -> f64 {
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
-/// One sharded arm of a sweep cell: the stats snapshot plus its
-/// best-of-reps wall time.
+/// One arm of a sweep cell: the stats snapshot plus its best-of-reps
+/// wall time.
 struct Arm {
     stats: EngineStats,
     secs: f64,
@@ -148,16 +142,7 @@ struct CellRow {
     workers: usize,
     shards: usize,
     requests: usize,
-    off: Arm,
-    on: Arm,
-}
-
-impl CellRow {
-    /// Wall-clock ratio of the expiry-singleton arm to the coalesced
-    /// arm (> 1.0 when coalescing is a speedup).
-    fn on_speedup(&self) -> f64 {
-        self.off.secs / self.on.secs.max(1e-9)
-    }
+    arm: Arm,
 }
 
 /// The paper's diurnal language workload with per-worker load held
@@ -179,10 +164,10 @@ fn pulse_trace(setup: &PaperSetup, workers: usize) -> TraceConfig {
     trace
 }
 
-/// Runs one (trace, fleet) cell: the sequential engine once as the
-/// digest reference, then the knob-off and knob-on arms at every shard
-/// count, asserting bit-identical digests and reconciled counter
-/// triads throughout. Returns one row per shard count.
+/// Runs one (trace, fleet) cell: one shard once as the digest
+/// reference, then one arm per shard count, asserting bit-identical
+/// digests, reconciled counter triads and a shard-count-invariant run
+/// partition throughout. Returns one row per shard count.
 fn run_cell(
     setup: &PaperSetup,
     trace_name: &'static str,
@@ -191,14 +176,13 @@ fn run_cell(
     reps: usize,
 ) -> Vec<CellRow> {
     let scheme = ProteanBuilder::paper();
-    let mut config = setup.cluster();
+    let mut config = setup.bench_cluster();
     config.workers = workers;
 
-    let time_arm = |shards: usize, coalesce: bool| {
+    let time_arm = |shards: usize| {
         let mut c = config.clone();
         c.shards = shards;
         c.shard_threads = shards;
-        c.coalesce_window_expiries = coalesce;
         let mut best = f64::INFINITY;
         let mut result = None;
         for _ in 0..reps.max(1) {
@@ -210,60 +194,20 @@ fn run_cell(
         (result.expect("reps >= 1"), best)
     };
 
-    let sequential = run_simulation(&config, &scheme, trace);
-    let d0 = golden::digest(&sequential);
-    let requests = sequential.metrics.count(Class::All);
-
-    let mut rows = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let mut arms = Vec::new();
-        for coalesce in [false, true] {
-            let label =
-                format!("{trace_name} @ {workers} workers, S={shards}, coalesce={coalesce}");
-            let (run, secs) = time_arm(shards, coalesce);
-            // The contract, on every host and every cell size: expiry
-            // coalescing is an exact elision of provably-empty phases
-            // with zero observable effect.
-            assert_eq!(
-                d0,
-                golden::digest(&run),
-                "{label}: diverged from sequential"
-            );
-            assert_eq!(
-                run.stats.expiries, sequential.stats.expiries,
-                "{label}: expiry count diverged from sequential"
-            );
-            let arm = Arm {
-                stats: run.stats,
-                secs,
-            };
-            arm.assert_triad(&label);
-            if !coalesce {
-                assert_eq!(
-                    arm.stats.coalesced_expiries, 0,
-                    "{label}: knob off must not coalesce expiries"
-                );
-            }
-            arms.push(arm);
-        }
-        let on = arms.pop().expect("two arms");
-        let off = arms.pop().expect("two arms");
-        rows.push(CellRow {
-            trace: trace_name,
-            workers,
-            shards,
-            requests,
-            off,
-            on,
-        });
-    }
+    let reference = run_simulation(&config, &scheme, trace);
+    let d0 = golden::digest(&reference);
+    let requests = reference.metrics.count(Class::All);
+    assert!(
+        requests > 0,
+        "{trace_name} @ {workers} workers: the cell recorded no requests"
+    );
 
     // Shard-count invariance: the admission checks union over every
     // shard heap, so the run partition — the epoch count, the
     // coalescing counters and the whole cut taxonomy — must not depend
     // on S. (Per-shard work counters like scan visits legitimately
     // vary with the partition and are excluded.)
-    let partition = |s: EngineStats| {
+    let partition = |s: &EngineStats| {
         (
             s.arrivals,
             s.expiries,
@@ -273,25 +217,31 @@ fn run_cell(
             s.run_cutoffs,
         )
     };
-    for arm in ["off", "on"] {
-        let pick = |r: &CellRow| {
-            if arm == "off" {
-                r.off.stats
-            } else {
-                r.on.stats
-            }
+    let mut rows = Vec::new();
+    for &shards in &SHARD_COUNTS {
+        let label = format!("{trace_name} @ {workers} workers, S={shards}");
+        let (run, secs) = time_arm(shards);
+        // The contract, on every host and every cell size: expiry
+        // coalescing is an exact elision of provably-empty phases
+        // with zero observable effect.
+        assert_eq!(d0, golden::digest(&run), "{label}: diverged from one shard");
+        assert_eq!(
+            partition(&run.stats),
+            partition(&reference.stats),
+            "{label}: run partition differs from one shard"
+        );
+        let arm = Arm {
+            stats: run.stats,
+            secs,
         };
-        let first = partition(pick(&rows[0]));
-        for r in &rows[1..] {
-            assert_eq!(
-                partition(pick(r)),
-                first,
-                "{trace_name} @ {workers} workers, knob {arm}: run partition varies with \
-                 the shard count (S={} vs S={})",
-                r.shards,
-                rows[0].shards
-            );
-        }
+        arm.assert_triad(&label);
+        rows.push(CellRow {
+            trace: trace_name,
+            workers,
+            shards,
+            requests,
+            arm,
+        });
     }
     rows
 }
@@ -385,23 +335,23 @@ fn run_planetary(setup: &PaperSetup, requests_target: u64) -> PlanetaryReport {
     config.aggregate_metrics = true;
 
     // Digest preflight on a truncated slice with full metrics:
-    // sequential, sharded-materialised and sharded-streamed must agree
+    // one shard, sharded-materialised and sharded-streamed must agree
     // bit for bit at fleet scale before the long run is trusted.
     let preflight_secs = (2_000_000.0 / mean_rps).min(sim_secs);
     let preflight_trace = planetary_trace(setup, workers, preflight_secs);
     let mut full_config = config.clone();
     full_config.aggregate_metrics = false;
-    let mut sequential_config = full_config.clone();
-    sequential_config.shards = 1;
+    let mut single_config = full_config.clone();
+    single_config.shards = 1;
     let scheme = ProteanBuilder::paper();
-    let a = run_simulation(&sequential_config, &scheme, &preflight_trace);
+    let a = run_simulation(&single_config, &scheme, &preflight_trace);
     let b = run_simulation(&full_config, &scheme, &preflight_trace);
     let c = run_simulation_streaming(&full_config, &scheme, &preflight_trace);
     let preflight_requests = a.metrics.count(Class::All);
     assert_eq!(
         golden::digest(&a),
         golden::digest(&b),
-        "planetary preflight: sharded diverged from sequential"
+        "planetary preflight: sharded diverged from one shard"
     );
     assert_eq!(
         golden::digest(&b),
@@ -410,7 +360,7 @@ fn run_planetary(setup: &PaperSetup, requests_target: u64) -> PlanetaryReport {
     );
     println!(
         "  preflight clean: {preflight_requests} requests at {workers} workers, \
-         sequential == sharded == sharded-streamed"
+         one shard == sharded == sharded-streamed"
     );
 
     // Sampler: VmRSS and the allocator's live-byte balance every
@@ -500,7 +450,7 @@ fn arm_json(a: &Arm) -> String {
         "{{\"secs\": {:.6}, \"epochs\": {}, \"epochs_per_dispatch_event\": {:.4}, \
          \"coalesced_arrivals\": {}, \"coalesced_expiries\": {}, \
          \"cuts\": {{\"serial_event\": {}, \"shard_conflict\": {}, \
-         \"expiry_shard_conflict\": {}, \"coalescing_off\": {}, \"max_arrivals\": {}, \
+         \"expiry_shard_conflict\": {}, \"max_arrivals\": {}, \
          \"journal_pressure\": {}, \"trace_end\": {}}}}}",
         a.secs,
         a.stats.epochs,
@@ -510,7 +460,6 @@ fn arm_json(a: &Arm) -> String {
         c.serial_event,
         c.shard_conflict,
         c.expiry_shard_conflict,
-        c.coalescing_off,
         c.max_arrivals,
         c.journal_pressure,
         c.trace_end,
@@ -526,9 +475,7 @@ fn pr10_json(
     let has_wiki_2048 = rows.iter().any(|r| r.trace == "wiki" && r.workers == 2048);
     let mut out = String::from("{\n");
     out.push_str("  \"benchmark\": \"expiry_coalescing_sweep_and_planetary_fleet\",\n");
-    out.push_str(
-        "  \"baseline\": \"coalesce_window_expiries = false (PR-8 expiry-singleton epochs)\",\n",
-    );
+    out.push_str("  \"reference\": \"shards = 1 (digest and run partition)\",\n");
     out.push_str(&format!(
         "  \"duration_secs\": {:.1},\n  \"seed\": {},\n  \"host_cores\": {},\n",
         setup.duration_secs, setup.seed, cores
@@ -547,11 +494,6 @@ fn pr10_json(
                 "wiki @ 2048 cell present (deterministic, host-independent)",
             ),
             (
-                "wiki_2048_coalescing_not_slower",
-                setup.duration_secs >= 10.0 && cores >= 4,
-                "duration_secs >= 10 && host_cores >= 4",
-            ),
-            (
                 "planetary_memory_growth_le_256mb",
                 planetary.is_some(),
                 "always (asserted whenever the planetary cell runs)",
@@ -562,15 +504,14 @@ fn pr10_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"trace\": \"{}\", \"workers\": {}, \"shards\": {}, \"requests\": {}, \
-             \"arrivals\": {}, \"expiries\": {},\n     \"off\": {},\n     \"on\": {}}}{}\n",
+             \"arrivals\": {}, \"expiries\": {},\n     \"arm\": {}}}{}\n",
             r.trace,
             r.workers,
             r.shards,
             r.requests,
-            r.off.stats.arrivals,
-            r.off.stats.expiries,
-            arm_json(&r.off),
-            arm_json(&r.on),
+            r.arm.stats.arrivals,
+            r.arm.stats.expiries,
+            arm_json(&r.arm),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -687,16 +628,14 @@ fn main() {
             let cell = run_cell(&setup, name, &trace, workers, reps);
             for r in &cell {
                 println!(
-                    "  {} @ {:>4} workers, S={}: ep/dispatch {:.4} -> {:.4}, \
-                     serial share {:.0}% -> {:.0}% ({:.2}x wall)",
+                    "  {} @ {:>4} workers, S={}: ep/dispatch {:.4}, serial share {:.0}% \
+                     ({:.2}s wall)",
                     r.trace,
                     r.workers,
                     r.shards,
-                    r.off.epochs_per_dispatch(),
-                    r.on.epochs_per_dispatch(),
-                    100.0 * r.off.serial_cut_share(),
-                    100.0 * r.on.serial_cut_share(),
-                    r.on_speedup(),
+                    r.arm.epochs_per_dispatch(),
+                    100.0 * r.arm.serial_cut_share(),
+                    r.arm.secs,
                 );
             }
             rows.extend(cell);
@@ -712,13 +651,11 @@ fn main() {
                     r.workers.to_string(),
                     r.shards.to_string(),
                     r.requests.to_string(),
-                    r.off.stats.arrivals.to_string(),
-                    r.off.stats.expiries.to_string(),
-                    format!("{:.4}", r.off.epochs_per_dispatch()),
-                    format!("{:.4}", r.on.epochs_per_dispatch()),
-                    format!("{:.0}%", 100.0 * r.off.serial_cut_share()),
-                    format!("{:.0}%", 100.0 * r.on.serial_cut_share()),
-                    format!("{:.2}x", r.on_speedup()),
+                    r.arm.stats.arrivals.to_string(),
+                    r.arm.stats.expiries.to_string(),
+                    format!("{:.4}", r.arm.epochs_per_dispatch()),
+                    format!("{:.0}%", 100.0 * r.arm.serial_cut_share()),
+                    format!("{:.2}", r.arm.secs),
                 ]
             })
             .collect();
@@ -730,11 +667,9 @@ fn main() {
                 "requests",
                 "arrivals",
                 "expiries",
-                "ep/dis off",
-                "ep/dis on",
-                "ser% off",
-                "ser% on",
-                "on spd",
+                "ep/dispatch",
+                "serial %",
+                "wall s",
             ],
             &printable,
         );
@@ -753,45 +688,24 @@ fn main() {
     println!("\nwrote {}", path.display());
 
     // Deterministic floors: the coalesced wiki cell at fleet scale
-    // must retire the serial-event cut regime PR-8 measured. These are
-    // epoch-partition properties — identical on every host and at
-    // every cell duration — so they are asserted unconditionally.
+    // must keep serial-event cuts retired. These are epoch-partition
+    // properties — identical on every host and at every cell duration —
+    // so they are asserted unconditionally.
     for r in rows
         .iter()
         .filter(|r| r.trace == "wiki" && r.workers == 2048)
     {
         assert!(
-            r.on.epochs_per_dispatch() <= 0.15,
+            r.arm.epochs_per_dispatch() <= 0.15,
             "wiki @ 2048, S={}: {:.4} epochs per dispatch event above the 0.15 floor",
             r.shards,
-            r.on.epochs_per_dispatch()
+            r.arm.epochs_per_dispatch()
         );
         assert!(
-            r.on.serial_cut_share() < 0.40,
+            r.arm.serial_cut_share() < 0.40,
             "wiki @ 2048, S={}: serial-event cut share {:.0}% at or above 40%",
             r.shards,
-            100.0 * r.on.serial_cut_share()
-        );
-    }
-    // Wall-clock floor: coalescing must not cost wall time where
-    // timing is honest (real cell durations, multi-core host).
-    if setup.duration_secs >= 10.0 && cores >= 4 {
-        for r in rows
-            .iter()
-            .filter(|r| r.trace == "wiki" && r.workers == 2048)
-        {
-            assert!(
-                r.on_speedup() >= 1.0,
-                "wiki @ 2048, S={}: coalescing slowed the cell to {:.2}x",
-                r.shards,
-                r.on_speedup()
-            );
-        }
-    } else if !rows.is_empty() {
-        println!(
-            "\n(wall-clock floors skipped: {} s cells on {} core(s) — \
-             digest equality and epoch floors asserted on every cell)",
-            setup.duration_secs, cores
+            100.0 * r.arm.serial_cut_share()
         );
     }
 

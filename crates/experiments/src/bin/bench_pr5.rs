@@ -38,6 +38,7 @@ use protean_cluster::{run_simulation_on, SchemeBuilder, SimulationResult};
 use protean_experiments::report::{banner, table};
 use protean_experiments::setup::LANGUAGE_RPS;
 use protean_experiments::{golden, PaperSetup};
+use protean_metrics::record::Class;
 use protean_models::ModelId;
 use protean_sim::RngFactory;
 use protean_trace::TraceShape;
@@ -78,7 +79,7 @@ fn run_cell(
     policy: &'static str,
     workers: usize,
 ) -> CellRow {
-    let mut config = setup.cluster();
+    let mut config = setup.bench_cluster();
     config.workers = workers;
     // Language serving is the dispatch-bound regime — batch size 4
     // means every 4 requests pay one O(W) scan, 32× the dispatch rate
@@ -122,6 +123,10 @@ fn run_cell(
         golden::digest(&linear),
         golden::digest(&indexed),
         "{policy} @ {workers} workers: indexed run diverged from the linear reference"
+    );
+    assert!(
+        indexed.metrics.count(Class::All) > 0,
+        "{policy} @ {workers} workers: the cell recorded no requests"
     );
     let summarize = |r: &SimulationResult| (r.stats.dispatch_batches, r.stats.dispatch_scan_visits);
     let (batches, linear_visits) = summarize(&linear);

@@ -119,7 +119,7 @@ fn run_cell(
     policy: &'static str,
     workers: usize,
 ) -> CellRow {
-    let mut config = setup.cluster();
+    let mut config = setup.bench_cluster();
     config.workers = workers;
     // The tight-cap row runs at 3x the paper's per-worker load
     // (utilization ≈ 0.6): shallow caps at elevated utilization keep
@@ -185,6 +185,10 @@ fn run_cell(
     assert_eq!(
         di, ds,
         "{policy} @ {workers}: streamed diverged from materialised"
+    );
+    assert!(
+        indexed.metrics.count(Class::All) > 0,
+        "{policy} @ {workers}: the cell recorded no requests"
     );
 
     let summarize = |r: &SimulationResult| (r.stats.dispatch_batches, r.stats.dispatch_scan_visits);

@@ -26,7 +26,7 @@
 //!
 //! **Soak** — ≥ 10⁸ requests streamed through the *sharded* engine
 //! (`shards = 4`) with `aggregate_metrics`, RSS sampled throughout. A
-//! sequential-vs-sharded-vs-streamed digest preflight on a truncated
+//! one-shard-vs-sharded-vs-streamed digest preflight on a truncated
 //! slice guards the long run.
 //!
 //! **Allocator accounting** — this binary installs a counting
@@ -154,7 +154,7 @@ fn pulse_trace(setup: &PaperSetup, workers: usize) -> TraceConfig {
     trace
 }
 
-/// Runs one (trace, fleet) cell: the sequential engine once, then every
+/// Runs one (trace, fleet) cell: one shard once, then every
 /// shard count, asserting bit-identical digests throughout. Returns one
 /// row per shard count.
 fn run_cell(
@@ -165,7 +165,7 @@ fn run_cell(
     reps: usize,
 ) -> Vec<CellRow> {
     let scheme = ProteanBuilder::paper();
-    let mut config = setup.cluster();
+    let mut config = setup.bench_cluster();
     config.workers = workers;
 
     let time_run = |shards: usize| {
@@ -186,6 +186,10 @@ fn run_cell(
     let (sequential, sequential_secs) = time_run(1);
     let d0 = golden::digest(&sequential);
     let requests = sequential.metrics.count(Class::All);
+    assert!(
+        requests > 0,
+        "{trace_name} @ {workers} workers: the cell recorded no requests"
+    );
 
     let mut rows = Vec::new();
     for &shards in &SHARD_COUNTS {
@@ -196,7 +200,7 @@ fn run_cell(
         assert_eq!(
             d0,
             golden::digest(&sharded),
-            "{trace_name} @ {workers} workers, S={shards}: sharded diverged from sequential"
+            "{trace_name} @ {workers} workers, S={shards}: sharded diverged from one shard"
         );
         rows.push(CellRow {
             trace: trace_name,
@@ -324,7 +328,7 @@ fn run_soak(setup: &PaperSetup, requests_target: u64) -> SoakReport {
     );
     println!(
         "  preflight clean: {preflight_requests} requests, \
-         sequential == sharded == sharded-streamed"
+         one shard == sharded == sharded-streamed"
     );
 
     // Sampler: VmRSS and the allocator's live-byte balance every

@@ -1,28 +1,28 @@
-//! PR-8 benchmark reporter: epoch coarsening differential, written to
-//! `results/bench_pr8.json` (analysis in `PERF.md`).
+//! Epoch coarsening differential, written to `results/bench_pr8.json`
+//! (analysis in `PERF.md`).
 //!
-//! Every cell runs the sharded engine twice on the same (trace, fleet,
-//! shard count) point:
+//! Every cell runs the engine twice on the same (trace, fleet, shard
+//! count) point:
 //!
 //! * **per-arrival** — `max_epoch_arrivals = 1`, the PR-7 discipline:
 //!   one synchronization epoch (phase + barrier) per dispatched
 //!   arrival;
 //! * **coarsened** — `max_epoch_arrivals = 64` (the default): the
-//!   coordinator peels conflict-checked arrival *runs* and launches one
-//!   phase per run.
+//!   coordinator peels conflict-checked dispatch *runs* (arrivals and
+//!   window expiries) and launches one phase per run.
 //!
 //! Two deterministic contracts are asserted inside every timed cell, on
 //! every host, at every duration:
 //!
-//! 1. **Digest equality** — per-arrival, coarsened and the sequential
-//!    engine produce bit-identical digests. Coarsening only elides
+//! 1. **Digest equality** — per-arrival, coarsened and the one-shard
+//!    reference produce bit-identical digests. Coarsening only elides
 //!    phases that are provably empty, so it must have zero observable
-//!    effect.
+//!    effect. Every cell must record requests.
 //! 2. **Epochs-per-arrival floor** — on the arrival-dense wiki trace at
 //!    2048 workers the coarsened arm must coalesce to ≤ 0.5 epochs per
-//!    arrival (the per-arrival arm is exactly 1.0), and the counter
-//!    triad `epochs + coalesced = arrivals`, `cutoffs = epochs` must
-//!    reconcile.
+//!    arrival (the per-arrival arm is one epoch per dispatch event),
+//!    and the counter triad `epochs + coalesced = arrivals + expiries`,
+//!    `cutoffs = epochs` must reconcile.
 //!
 //! Wall-clock floors stay core-count-gated as in `bench_pr7`: a
 //! single-core container runs the full determinism sweep but cannot
@@ -94,7 +94,7 @@ fn pulse_trace(setup: &PaperSetup, workers: usize) -> TraceConfig {
     trace
 }
 
-/// Runs one (trace, fleet, shards) cell: sequential reference once,
+/// Runs one (trace, fleet, shards) cell: the one-shard reference once,
 /// then the per-arrival and coarsened sharded arms, asserting digest
 /// equality and counter conservation on each.
 fn run_cell(
@@ -106,7 +106,7 @@ fn run_cell(
     reps: usize,
 ) -> CellRow {
     let scheme = ProteanBuilder::paper();
-    let mut config = setup.cluster();
+    let mut config = setup.bench_cluster();
     config.workers = workers;
 
     let time_arm = |shards: usize, cap: u64| -> (SimulationResult, f64) {
@@ -114,10 +114,6 @@ fn run_cell(
         c.shards = shards;
         c.shard_threads = shards.min(2);
         c.max_epoch_arrivals = cap;
-        // This benchmark is the PR-8 historical record: arrival-run
-        // coarsening with every window expiry a singleton epoch.
-        // `bench_pr10` owns the expiry-coalescing differential.
-        c.coalesce_window_expiries = false;
         let mut best = f64::INFINITY;
         let mut result = None;
         for _ in 0..reps.max(1) {
@@ -129,8 +125,12 @@ fn run_cell(
         (result.expect("reps >= 1"), best)
     };
 
-    let (sequential, _) = time_arm(1, COARSE_CAP);
-    let d0 = golden::digest(&sequential);
+    let (reference, _) = time_arm(1, COARSE_CAP);
+    let d0 = golden::digest(&reference);
+    assert!(
+        reference.metrics.count(Class::All) > 0,
+        "{trace_name} @ {workers} workers: the cell recorded no requests"
+    );
     let (per_arrival, per_arrival_secs) = time_arm(shards, 1);
     let (coarse, coarse_secs) = time_arm(shards, COARSE_CAP);
 
@@ -138,18 +138,16 @@ fn run_cell(
     assert_eq!(
         d0,
         golden::digest(&per_arrival),
-        "{trace_name} @ {workers} workers, S={shards}: per-arrival arm diverged from sequential"
+        "{trace_name} @ {workers} workers, S={shards}: per-arrival arm diverged from one shard"
     );
     assert_eq!(
         d0,
         golden::digest(&coarse),
-        "{trace_name} @ {workers} workers, S={shards}: coarsened arm diverged from sequential"
+        "{trace_name} @ {workers} workers, S={shards}: coarsened arm diverged from one shard"
     );
 
     // Contract 2: the extended counter triad reconciles on both arms,
-    // and the per-arrival arm really is one epoch per dispatch event
-    // (with expiry coalescing pinned off here, no expiries coalesce on
-    // either arm).
+    // and the per-arrival arm really is one epoch per dispatch event.
     for (arm, r) in [("per-arrival", &per_arrival), ("coarsened", &coarse)] {
         assert_eq!(
             r.stats.epochs + r.stats.coalesced_arrivals + r.stats.coalesced_expiries,
@@ -161,16 +159,13 @@ fn run_cell(
             r.stats.epochs,
             "{trace_name} S={shards} {arm}: cutoff attribution broken"
         );
-        assert_eq!(
-            r.stats.coalesced_expiries, 0,
-            "{trace_name} S={shards} {arm}: expiries coalesced with the knob off"
-        );
     }
     assert_eq!(
         per_arrival.stats.epochs,
         per_arrival.stats.arrivals + per_arrival.stats.expiries
     );
     assert_eq!(per_arrival.stats.coalesced_arrivals, 0);
+    assert_eq!(per_arrival.stats.coalesced_expiries, 0);
 
     CellRow {
         trace: trace_name,

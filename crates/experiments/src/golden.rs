@@ -80,10 +80,9 @@ pub fn golden_digests_streaming() -> Vec<String> {
     golden_digests_with(run_simulation_streaming)
 }
 
-/// [`golden_digests`] with every run routed through the sharded engine
-/// (`shards = 4`, two shard threads). The sharded engine's contract is
-/// digest equality with the sequential one, so this must return exactly
-/// the same lines.
+/// [`golden_digests`] with every run partitioned across four shards
+/// (two shard threads). The engine's contract is digest equality at
+/// every shard count, so this must return exactly the same lines.
 pub fn golden_digests_sharded() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
         let mut sharded = config.clone();
@@ -96,7 +95,7 @@ pub fn golden_digests_sharded() -> Vec<String> {
 /// [`golden_digests_sharded`] with epoch coarsening forced off
 /// (`max_epoch_arrivals = 1`, the per-arrival PR-7 discipline). Arrival
 /// runs are exact elisions of provably-empty phases, so coarsened and
-/// per-arrival digests must both equal the sequential lines; this
+/// per-arrival digests must both equal the recorded lines; this
 /// function is the differential arm that pins the per-arrival side.
 pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
@@ -108,24 +107,24 @@ pub fn golden_digests_sharded_per_arrival() -> Vec<String> {
     })
 }
 
-/// [`golden_digests_sharded`] with window-expiry coalescing forced off
-/// (`coalesce_window_expiries = false`, the PR-8 discipline where every
-/// batch-window expiry is a singleton epoch). Expiry admission into
-/// coarsened runs is an exact elision of provably-empty phases, so both
-/// knob settings must reproduce the sequential lines; this function is
-/// the differential arm that pins the expiries-as-singletons side.
-pub fn golden_digests_sharded_coalesced_off() -> Vec<String> {
+/// [`golden_digests`] with the dispatch index replaced by the retained
+/// linear fleet scan (`reference_dispatch`) at `shards` shards (two
+/// shard threads when `shards > 1`). The scan picks the identical
+/// worker at any shard count, so this must return exactly the same
+/// lines; it is the oracle arm independent of the index and of the
+/// cross-shard index reduction.
+pub fn golden_digests_reference(shards: usize) -> Vec<String> {
     golden_digests_with(|config, scheme, trace| {
-        let mut sharded = config.clone();
-        sharded.shards = 4;
-        sharded.shard_threads = 2;
-        sharded.coalesce_window_expiries = false;
-        run_simulation(&sharded, scheme, trace)
+        let mut reference = config.clone();
+        reference.reference_dispatch = true;
+        reference.shards = shards;
+        reference.shard_threads = shards.min(2);
+        run_simulation(&reference, scheme, trace)
     })
 }
 
 fn golden_digests_with(
-    run: fn(&ClusterConfig, &dyn SchemeBuilder, &TraceConfig) -> SimulationResult,
+    run: impl Fn(&ClusterConfig, &dyn SchemeBuilder, &TraceConfig) -> SimulationResult,
 ) -> Vec<String> {
     let mut out = Vec::new();
     for &seed in &[42u64, 7, 1234] {

@@ -55,6 +55,19 @@ impl PaperSetup {
         }
     }
 
+    /// [`PaperSetup::cluster`] for a benchmark cell of `duration_secs`.
+    /// A cell no longer than the paper's 15 s warmup gets a warmup of
+    /// half its length, so a short smoke cell still records requests
+    /// and exercises the latency path its digest covers. Longer cells
+    /// (every full-length sweep) keep the paper warmup unchanged.
+    pub fn bench_cluster(&self) -> ClusterConfig {
+        let mut config = self.cluster();
+        if SimDuration::from_secs(self.duration_secs) <= config.warmup {
+            config.warmup = SimDuration::from_secs(self.duration_secs / 2.0);
+        }
+        config
+    }
+
     /// The Wiki trace for `strict` at the domain-appropriate rate with
     /// the paper's 50/50 strictness mix and ~20 s BE-model rotation
     /// through the opposite interference class.

@@ -4,10 +4,13 @@
 //! replaced. Two layers prove it: a property test drives a raw
 //! [`DispatchIndex`] through randomized eviction/reconfig/boot/load
 //! interleavings and cross-checks every query against a linear-scan
-//! reference model, and full-simulation tests run the engine twice —
-//! `reference_dispatch` on and off — over spot-faulted fleets and
-//! require bit-identical digests (with the auditor's index-coherence
-//! sweep riding along).
+//! reference model, and full-simulation tests run the engine with
+//! `reference_dispatch` on and off, at one shard and at four, over
+//! spot-faulted fleets and require bit-identical digests (with the
+//! auditor's index-coherence sweep riding along). The four-shard
+//! reference arm is the linear oracle under sharding: a global-order
+//! fleet scan across shard cores against the cross-shard index
+//! reduction.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -124,7 +127,7 @@ proptest! {
 }
 
 /// A spot-faulted cluster config for the full-run differential.
-fn faulted_config(workers: usize, seed: u64, reference: bool) -> ClusterConfig {
+fn faulted_config(workers: usize, seed: u64, reference: bool, shards: usize) -> ClusterConfig {
     let mut config = ClusterConfig::small_test();
     config.workers = workers;
     config.seed = seed;
@@ -135,6 +138,8 @@ fn faulted_config(workers: usize, seed: u64, reference: bool) -> ClusterConfig {
     config.procurement_retry = SimDuration::from_secs(5.0);
     config.audit = true;
     config.reference_dispatch = reference;
+    config.shards = shards;
+    config.shard_threads = shards.min(2);
     config
 }
 
@@ -151,17 +156,18 @@ fn faulted_trace() -> TraceConfig {
 }
 
 /// Runs the same scripted-eviction simulation with the linear reference
-/// and with the index, returning both digests (and asserting the
-/// audited runs stayed clean — the index-coherence invariant is part of
-/// the sweep).
+/// and with the index, each at one shard and at four, returning the
+/// four digests in the order (linear S=1, indexed S=1, linear S=4,
+/// indexed S=4) and asserting the audited runs stayed clean — the
+/// index-coherence invariant is part of the sweep.
 fn differential_run(
     scheme: &dyn SchemeBuilder,
     workers: usize,
     seed: u64,
     evictions: &[(usize, f64, f64)],
-) -> (String, String) {
-    let run = |reference: bool| {
-        let config = faulted_config(workers, seed, reference);
+) -> [String; 4] {
+    let run = |reference: bool, shards: usize| {
+        let config = faulted_config(workers, seed, reference, shards);
         let mut market = ScriptedMarket::new();
         for &(worker, at, lead) in evictions {
             market = market.evict(worker, SimTime::from_secs(at), SimDuration::from_secs(lead));
@@ -170,7 +176,7 @@ fn differential_run(
         assert!(result.audit.is_clean(), "{:?}", result.audit.violations);
         golden::digest(&result)
     };
-    (run(true), run(false))
+    [run(true, 1), run(false, 1), run(true, 4), run(false, 4)]
 }
 
 /// Load-balance dispatch (PROTEAN): indexed and linear runs must be
@@ -179,8 +185,10 @@ fn differential_run(
 fn load_balance_digests_match_linear_reference_under_faults() {
     let evictions = [(0, 6.0, 4.0), (2, 15.0, 8.0), (1, 24.0, 3.0)];
     for seed in [7, 42, 1234] {
-        let (linear, indexed) = differential_run(&ProteanBuilder::paper(), 4, seed, &evictions);
-        assert_eq!(linear, indexed, "seed {seed} diverged");
+        let arms = differential_run(&ProteanBuilder::paper(), 4, seed, &evictions);
+        for arm in &arms[1..] {
+            assert_eq!(&arms[0], arm, "seed {seed} diverged");
+        }
     }
 }
 
@@ -191,8 +199,10 @@ fn load_balance_digests_match_linear_reference_under_faults() {
 fn consolidate_digests_match_linear_reference_under_faults() {
     let evictions = [(0, 5.0, 5.0), (1, 18.0, 6.0)];
     for seed in [7, 42, 1234] {
-        let (linear, indexed) = differential_run(&Baseline::InflessLlama, 4, seed, &evictions);
-        assert_eq!(linear, indexed, "seed {seed} diverged");
+        let arms = differential_run(&Baseline::InflessLlama, 4, seed, &evictions);
+        for arm in &arms[1..] {
+            assert_eq!(&arms[0], arm, "seed {seed} diverged");
+        }
     }
 }
 
@@ -201,7 +211,7 @@ proptest! {
 
     /// Randomized fleets: arbitrary eviction schedules over 2–6 workers
     /// under both dispatch policies must digest identically with the
-    /// index on and off.
+    /// index on and off, at one shard and at four.
     #[test]
     fn prop_full_run_digests_match_under_random_faults(
         workers in 2usize..6,
@@ -218,9 +228,10 @@ proptest! {
         } else {
             Box::new(ProteanBuilder::paper())
         };
-        let (linear, indexed) =
-            differential_run(&*scheme, workers, seed, &evictions);
-        prop_assert_eq!(linear, indexed);
+        let arms = differential_run(&*scheme, workers, seed, &evictions);
+        for arm in &arms[1..] {
+            prop_assert_eq!(&arms[0], arm);
+        }
     }
 }
 

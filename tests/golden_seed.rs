@@ -1,9 +1,12 @@
 //! Golden-seed equivalence: the engine's observable results are pinned
 //! bit for bit against recorded digests (re-captured for the per-worker
-//! jitter-stream relabel). Sequential, streaming and sharded runs must
-//! all reproduce these lines exactly — floats are compared as `to_bits()` hex, so a
-//! single ULP of drift anywhere in event ordering, RNG consumption or
-//! arithmetic association fails the test.
+//! jitter-stream relabel). Single-shard, streaming, four-shard,
+//! per-arrival and reference-dispatch runs must all reproduce these
+//! lines exactly — floats are compared as `to_bits()` hex, so a single
+//! ULP of drift anywhere in event ordering, RNG consumption or
+//! arithmetic association fails the test. The recorded constants are
+//! the oracle independent of the engine's code: every arm runs the same
+//! engine.
 //!
 //! Regenerate the table with the `golden_digest` binary after an
 //! *intentional* behaviour change:
@@ -13,7 +16,7 @@
 //! ```
 
 use protean_experiments::golden::{
-    golden_digests, golden_digests_sharded, golden_digests_sharded_coalesced_off,
+    golden_digests, golden_digests_reference, golden_digests_sharded,
     golden_digests_sharded_per_arrival, golden_digests_streaming,
 };
 
@@ -100,12 +103,12 @@ fn streaming_arrivals_reproduce_the_recorded_digests() {
     );
 }
 
-/// The sharded engine (`shards = 4`, two shard threads) must reproduce
-/// the sequential engine bit for bit on every golden config — all eight
-/// schemes x three seeds plus the two spot-market runs (evictions,
-/// replacement, censoring). Comparing against the same recorded
-/// constants pins the parallel path to the recorded behaviour directly,
-/// not merely to whatever the sequential engine currently does.
+/// Four shards (two shard threads) must reproduce the recorded digests
+/// bit for bit on every golden config — all eight schemes x three seeds
+/// plus the two spot-market runs (evictions, replacement, censoring).
+/// Comparing against the recorded constants pins the phased parallel
+/// path to the recorded behaviour directly, not merely to whatever the
+/// single-shard run currently does.
 #[test]
 fn sharded_engine_reproduces_the_recorded_digests() {
     let actual = golden_digests_sharded();
@@ -118,7 +121,7 @@ fn sharded_engine_reproduces_the_recorded_digests() {
     }
     assert!(
         mismatches.is_empty(),
-        "{} of {} sharded digests diverged from the sequential engine:\n{}",
+        "{} of {} sharded digests diverged from the recorded behaviour:\n{}",
         mismatches.len(),
         EXPECTED.len(),
         mismatches.join("\n")
@@ -150,30 +153,28 @@ fn per_arrival_epochs_reproduce_the_recorded_digests() {
     );
 }
 
-/// The window-expiry coalescing differential arm: the sharded engine
-/// with `coalesce_window_expiries = false` (every batch-window expiry a
-/// singleton epoch, the PR-8 discipline) must also reproduce the
-/// recorded digests on every golden config. Together with
-/// `sharded_engine_reproduces_the_recorded_digests` (knob on, the
-/// default) this pins both sides of the expiry-admission rule: folding
-/// a window expiry into a run elides only provably-empty phases.
+/// The linear-scan oracle: `reference_dispatch` replaces the dispatch
+/// index with a whole-fleet scan in global worker order, at one shard
+/// and at four. It shares no code with the index or its cross-shard
+/// reduction, so matching the recorded digests in both arms pins the
+/// index path against an independent reference, under sharding too.
 #[test]
-fn expiry_coalescing_off_reproduces_the_recorded_digests() {
-    let actual = golden_digests_sharded_coalesced_off();
-    assert_eq!(actual.len(), EXPECTED.len());
-    let mut mismatches = Vec::new();
-    for (got, want) in actual.iter().zip(EXPECTED) {
-        if got != want {
-            mismatches.push(format!(
-                "  no-expiry-coalescing: {got}\n  recorded:             {want}"
-            ));
+fn reference_dispatch_reproduces_the_recorded_digests() {
+    for shards in [1, 4] {
+        let actual = golden_digests_reference(shards);
+        assert_eq!(actual.len(), EXPECTED.len());
+        let mut mismatches = Vec::new();
+        for (got, want) in actual.iter().zip(EXPECTED) {
+            if got != want {
+                mismatches.push(format!("  reference: {got}\n  recorded:  {want}"));
+            }
         }
+        assert!(
+            mismatches.is_empty(),
+            "{} of {} reference-dispatch digests (shards = {shards}) diverged:\n{}",
+            mismatches.len(),
+            EXPECTED.len(),
+            mismatches.join("\n")
+        );
     }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} knob-off digests diverged from the recorded behaviour:\n{}",
-        mismatches.len(),
-        EXPECTED.len(),
-        mismatches.join("\n")
-    );
 }

@@ -121,7 +121,7 @@ fn sharded_cells_inside_a_parallel_grid_stay_deterministic() {
 
 /// The invariant auditor runs with shards enabled: the per-shard
 /// `DispatchIndex` views are chained through `verify_partition` into
-/// the fleet sweep, and every shard count must report the sequential
+/// the fleet sweep, and every shard count must report the one-shard
 /// run's sweep count with zero violations.
 #[test]
 fn audit_sweeps_stay_clean_and_counted_across_shard_counts() {

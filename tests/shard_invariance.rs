@@ -1,9 +1,9 @@
-//! Shard-count invariance: the sharded engine is a pure wall-clock
-//! optimisation, so for ANY workload, seed, dispatch policy and shard
-//! count the golden digest (counts, sorted-latency percentiles, cost,
+//! Shard-count invariance: sharding is a pure wall-clock optimisation,
+//! so for ANY workload, seed, dispatch policy and shard count the
+//! golden digest (counts, sorted-latency percentiles, cost,
 //! utilization, lifecycle counters — floats compared as exact bit
-//! patterns) must equal the sequential engine's, and the invariant
-//! auditor must stay clean with the same sweep cadence.
+//! patterns) must equal the one-shard run's, and the invariant auditor
+//! must stay clean with the same sweep cadence.
 
 use proptest::prelude::*;
 use protean::ProteanBuilder;
@@ -55,8 +55,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Digest equality for shards ∈ {2, 4, 8} (threaded and inline)
-    /// against the sequential engine, across schemes of both dispatch
-    /// policies, arbitrary seeds, rates and mixes.
+    /// against one shard, across schemes of both dispatch policies,
+    /// arbitrary seeds, rates and mixes.
     #[test]
     fn prop_digest_invariant_under_sharding(
         seed in 0u64..1000,
@@ -82,7 +82,7 @@ proptest! {
     /// evictions, VM replacement, orphan re-dispatch and censoring all
     /// run on the coordinator, and the invariant auditor (which chains
     /// per-shard `DispatchIndex::verify_partition` views into its fleet
-    /// sweep) must stay clean with the sequential sweep count.
+    /// sweep) must stay clean with the one-shard sweep count.
     #[test]
     fn prop_digest_invariant_under_sharded_faults(
         seed in 0u64..1000,
@@ -124,12 +124,11 @@ proptest! {
 
     /// Epoch coarsening is a pure elision of provably-empty phases, so
     /// the digest must be invariant not only in the shard count but in
-    /// the coarsening cap AND the window-expiry coalescing knob:
-    /// per-arrival (`max_epoch_arrivals = 1`), lightly coarsened and
-    /// fully coarsened runs of the same cell — with expiry admission on
-    /// and off — must all reproduce the sequential digest, across
-    /// schemes of both dispatch policies, seeds, rates and mixes — and
-    /// the extended counter triad must reconcile on every arm.
+    /// the coarsening cap: per-arrival (`max_epoch_arrivals = 1`),
+    /// lightly coarsened and fully coarsened runs of the same cell must
+    /// all reproduce the one-shard digest, across schemes of both
+    /// dispatch policies, seeds, rates and mixes — and the extended
+    /// counter triad must reconcile on every arm, one shard included.
     #[test]
     fn prop_digest_invariant_under_epoch_coarsening(
         seed in 0u64..1000,
@@ -139,7 +138,6 @@ proptest! {
         scheme_idx in 0usize..4,
         shards in prop::sample::select(vec![2usize, 4, 8]),
         cap in prop::sample::select(vec![1u64, 4, 64]),
-        coalesce_expiries in proptest::bool::ANY,
     ) {
         let config = quick_config(seed);
         let trace = quick_trace(model, rps, strict_fraction);
@@ -149,17 +147,16 @@ proptest! {
         sharded.shards = shards;
         sharded.shard_threads = 2;
         sharded.max_epoch_arrivals = cap;
-        sharded.coalesce_window_expiries = coalesce_expiries;
         let parallel = run_simulation(&sharded, scheme.as_ref(), &trace);
         prop_assert_eq!(digest(&sequential), digest(&parallel));
         prop_assert_eq!(parallel.stats.expiries, sequential.stats.expiries);
-        prop_assert_eq!(
-            parallel.stats.epochs
-                + parallel.stats.coalesced_arrivals
-                + parallel.stats.coalesced_expiries,
-            parallel.stats.arrivals + parallel.stats.expiries
-        );
-        prop_assert_eq!(parallel.stats.run_cutoffs.total(), parallel.stats.epochs);
+        for arm in [&sequential, &parallel] {
+            prop_assert_eq!(
+                arm.stats.epochs + arm.stats.coalesced_arrivals + arm.stats.coalesced_expiries,
+                arm.stats.arrivals + arm.stats.expiries
+            );
+            prop_assert_eq!(arm.stats.run_cutoffs.total(), arm.stats.epochs);
+        }
         if cap == 1 {
             // Every dispatch event is a singleton run.
             prop_assert_eq!(
@@ -167,9 +164,6 @@ proptest! {
                 parallel.stats.arrivals + parallel.stats.expiries
             );
             prop_assert_eq!(parallel.stats.coalesced_arrivals, 0);
-            prop_assert_eq!(parallel.stats.coalesced_expiries, 0);
-        }
-        if !coalesce_expiries {
             prop_assert_eq!(parallel.stats.coalesced_expiries, 0);
         }
     }
@@ -215,28 +209,17 @@ proptest! {
         let mut market = script();
         let coarse =
             run_simulation_with_oracle(&coarse_cfg, &ProteanBuilder::paper(), &trace, &mut market);
-        // Third arm: coarsened with window-expiry coalescing off (the
-        // PR-8 discipline) — same digest, same sweep cadence.
-        let mut no_expiry_cfg = coarse_cfg.clone();
-        no_expiry_cfg.coalesce_window_expiries = false;
-        let mut market = script();
-        let no_expiry =
-            run_simulation_with_oracle(&no_expiry_cfg, &ProteanBuilder::paper(), &trace, &mut market);
         prop_assert_eq!(digest(&per_arrival), digest(&coarse));
-        prop_assert_eq!(digest(&per_arrival), digest(&no_expiry));
         prop_assert!(per_arrival.audit.is_clean(), "{:?}", per_arrival.audit.violations);
         prop_assert!(coarse.audit.is_clean(), "{:?}", coarse.audit.violations);
-        prop_assert!(no_expiry.audit.is_clean(), "{:?}", no_expiry.audit.violations);
         prop_assert!(coarse.audit.checks > 0);
         prop_assert_eq!(per_arrival.audit.checks, coarse.audit.checks);
-        prop_assert_eq!(per_arrival.audit.checks, no_expiry.audit.checks);
-        for arm in [&coarse, &no_expiry] {
+        for arm in [&per_arrival, &coarse] {
             prop_assert_eq!(
                 arm.stats.epochs + arm.stats.coalesced_arrivals + arm.stats.coalesced_expiries,
                 arm.stats.arrivals + arm.stats.expiries
             );
             prop_assert_eq!(arm.stats.run_cutoffs.total(), arm.stats.epochs);
         }
-        prop_assert_eq!(no_expiry.stats.coalesced_expiries, 0);
     }
 }
