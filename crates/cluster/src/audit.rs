@@ -405,7 +405,7 @@ mod tests {
         index: &DispatchIndex,
     ) {
         if a.sweep_due() {
-            let problems = index.verify_partition(workers.len(), workers.iter());
+            let problems = index.verify_partition(workers);
             a.sweep(SimTime::ZERO, workers.iter(), ledger, problems);
         }
     }
@@ -458,13 +458,23 @@ mod tests {
 
     #[test]
     fn stray_entry_in_a_foreign_slot_is_a_violation() {
+        use crate::schemes_for_test::AlwaysLargest;
         let mut a = Auditor::new(true, 1);
-        // A fleet-width index holding an entry for a slot no owned
-        // worker occupies: both tiers disagree with the live rebuild.
-        let mut index = DispatchIndex::new(2);
-        index.refresh(1, true, true, 0);
+        // Shard 0 of 2 over a 4-worker fleet owns workers 0 and 2, in
+        // local slots 0 and 1. Slot 1 holds the right dispatch state
+        // but is keyed to worker 1, which shard 1 owns: both tiers
+        // disagree with the rebuild from the owned workers.
+        let owned: Vec<Worker> = [0, 2]
+            .into_iter()
+            .map(|g| Worker::new(g, Box::new(AlwaysLargest), SimTime::ZERO))
+            .collect();
+        let mut index = DispatchIndex::new(owned.len());
+        index.refresh_worker(0, &owned[0]);
+        index.refresh(1, 1, true, true, 0);
+        assert_eq!(owned[1].dispatch_state(), (true, true, 0));
         assert!(a.sweep_due());
-        let problems = index.verify_partition(2, std::iter::empty());
+        let problems = index.verify_partition(&owned);
+        // The workers are not bound to VMs; sweep only the index check.
         a.sweep(SimTime::ZERO, std::iter::empty(), &dummy_ledger(), problems);
         let r = a.into_report();
         assert_eq!(r.violation_count, 2);

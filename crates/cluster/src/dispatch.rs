@@ -24,6 +24,16 @@
 //!   in O(log W) — the identical slot the linear front scan finds —
 //!   while a fully saturated fleet is rejected in O(1) at the root.
 //!
+//! An index spans one *partition* of the fleet: slot `l` holds the
+//! `l`-th worker the partition owns, while every key carries the
+//! worker's *global* index. The sharded engine gives shard `s` of `S`
+//! the workers `g = s + l·S`, so local and global order agree inside a
+//! shard: the leftmost slot with headroom is also the lowest global
+//! index the shard can seat, and [`select_across`] reduces the shard
+//! answers to the whole-fleet one. At `S = 1` slot and global index
+//! coincide. Each shard's index is sized to the workers it owns, so the
+//! fleet's indices together hold `W` slots, not `S·W`.
+//!
 //! The engine refreshes a worker's entry at every point its dispatch
 //! state can change: `outstanding` increments (dispatch) and decrements
 //! (completion), worker status changes (eviction notice, final
@@ -37,7 +47,8 @@
 
 use crate::worker::Worker;
 
-/// Cached dispatch-relevant state of one worker slot.
+/// Cached dispatch-relevant state of one worker slot. The worker's
+/// global index lives in the tree keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     outstanding: u64,
@@ -101,14 +112,14 @@ pub struct DispatchIndex {
     /// Tier sizes, maintained alongside the trees.
     accepting_count: usize,
     routable_count: usize,
-    /// Dense snapshot per worker slot; `None` = not routable.
+    /// Dense snapshot per local slot; `None` = not routable.
     entries: Vec<Option<Entry>>,
     /// Maintenance operations applied (surfaced in `EngineStats`).
     updates: u64,
 }
 
 impl DispatchIndex {
-    /// An index over `n` worker slots, all initially non-routable.
+    /// An index over `n` local worker slots, all initially non-routable.
     pub fn new(n: usize) -> Self {
         DispatchIndex {
             accepting: MinTree::new(n),
@@ -120,11 +131,19 @@ impl DispatchIndex {
         }
     }
 
-    /// Re-caches one worker's dispatch state. Call after *any* mutation
-    /// of the worker's status, GPU accepting state, or `outstanding`.
-    pub fn refresh(&mut self, idx: usize, routable: bool, accepting: bool, outstanding: u64) {
+    /// Re-caches the dispatch state of the worker in local `slot`, whose
+    /// global index is `idx`. Call after *any* mutation of the worker's
+    /// status, GPU accepting state, or `outstanding`.
+    pub fn refresh(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        routable: bool,
+        accepting: bool,
+        outstanding: u64,
+    ) {
         self.updates += 1;
-        let old = self.entries[idx];
+        let old = self.entries[slot];
         let new = routable.then_some(Entry {
             outstanding,
             accepting,
@@ -132,22 +151,23 @@ impl DispatchIndex {
         if old == new {
             return;
         }
-        self.routable.set(idx, new.map(|e| (e.outstanding, idx)));
+        self.routable.set(slot, new.map(|e| (e.outstanding, idx)));
         self.accepting.set(
-            idx,
+            slot,
             new.and_then(|e| e.accepting.then_some((e.outstanding, idx))),
         );
         self.routable_count =
             self.routable_count + usize::from(new.is_some()) - usize::from(old.is_some());
         self.accepting_count = self.accepting_count + usize::from(new.is_some_and(|e| e.accepting))
             - usize::from(old.is_some_and(|e| e.accepting));
-        self.entries[idx] = new;
+        self.entries[slot] = new;
     }
 
-    /// [`DispatchIndex::refresh`] from the worker's live state.
-    pub fn refresh_worker(&mut self, w: &Worker) {
+    /// [`DispatchIndex::refresh`] from the live state of the worker in
+    /// local `slot`.
+    pub fn refresh_worker(&mut self, slot: usize, w: &Worker) {
         let (routable, accepting, outstanding) = w.dispatch_state();
-        self.refresh(w.idx, routable, accepting, outstanding);
+        self.refresh(slot, w.idx, routable, accepting, outstanding);
     }
 
     /// The least-loaded routable worker with an accepting GPU — the
@@ -201,8 +221,8 @@ impl DispatchIndex {
     }
 
     /// `Consolidate` first-fit: the lowest-indexed routable, accepting
-    /// worker with `outstanding < cap`, answered by root descent over
-    /// the accepting tournament tree. An internal node's key is the
+    /// worker with `outstanding < cap` (local and global order agree),
+    /// answered by root descent over the accepting tournament tree. An internal node's key is the
     /// minimum `(outstanding, idx)` of its subtree, so `key.0 < cap`
     /// holds exactly when the subtree contains a worker with headroom;
     /// preferring the left child whenever it qualifies reaches the
@@ -230,51 +250,44 @@ impl DispatchIndex {
     }
 
     /// Cross-checks the index against the workers' live state: the
-    /// audited index-coherence invariant, for a *partition* of the
-    /// fleet. The index spans all `total_slots` worker slots but only
-    /// the `owned` workers may populate it — every other slot must be
-    /// absent from both tiers. Each shard's index is fleet-width so its
-    /// keys carry global worker indices, but holds entries only for the
-    /// workers the shard owns; a stray entry in a foreign slot shows up
-    /// as a tree or tier-count mismatch against the live rebuild.
-    /// Returns one message per discrepancy (tier membership, tree
-    /// contents, or dense snapshot — the first-fit descent reads only
-    /// the accepting tree, so tree equality covers it).
-    pub fn verify_partition<'a>(
-        &self,
-        total_slots: usize,
-        owned: impl Iterator<Item = &'a Worker>,
-    ) -> Vec<String> {
-        if self.entries.len() != total_slots {
+    /// audited index-coherence invariant, for one *partition* of the
+    /// fleet. `owned` lists the partition's workers in local slot order;
+    /// the index must span exactly that many slots, and rebuilding both
+    /// tiers from the owned workers must reproduce the live trees. An
+    /// entry keyed to a worker the partition does not own shows up as a
+    /// tree mismatch in each tier it sits in: the rebuild keys slot `l`
+    /// by the global index of the `l`-th owned worker. Returns one
+    /// message per discrepancy (tier membership, tree contents, or dense
+    /// snapshot — the first-fit descent reads only the accepting tree,
+    /// so tree equality covers it).
+    pub fn verify_partition(&self, owned: &[Worker]) -> Vec<String> {
+        if self.entries.len() != owned.len() {
             return vec![format!(
-                "dispatch index covers {} slots but cluster has {total_slots}",
+                "dispatch index covers {} slots but its partition owns {} workers",
                 self.entries.len(),
+                owned.len(),
             )];
         }
-        self.verify_against(owned)
-    }
-
-    fn verify_against<'a>(&self, workers: impl Iterator<Item = &'a Worker>) -> Vec<String> {
         let mut out = Vec::new();
-        let mut live_accepting = MinTree::new(self.entries.len());
-        let mut live_routable = MinTree::new(self.entries.len());
+        let mut live_accepting = MinTree::new(owned.len());
+        let mut live_routable = MinTree::new(owned.len());
         let mut live_accepting_count = 0;
         let mut live_routable_count = 0;
-        for w in workers {
+        for (slot, w) in owned.iter().enumerate() {
             let (routable, accepting, outstanding) = w.dispatch_state();
             let expect = routable.then_some(Entry {
                 outstanding,
                 accepting,
             });
-            if self.entries[w.idx] != expect {
+            if self.entries[slot] != expect {
                 out.push(format!(
                     "dispatch index entry for worker {} is {:?}, live state is {:?}",
-                    w.idx, self.entries[w.idx], expect
+                    w.idx, self.entries[slot], expect
                 ));
             }
-            live_routable.set(w.idx, expect.map(|e| (e.outstanding, w.idx)));
+            live_routable.set(slot, expect.map(|e| (e.outstanding, w.idx)));
             live_accepting.set(
-                w.idx,
+                slot,
                 expect.and_then(|e| e.accepting.then_some((e.outstanding, w.idx))),
             );
             live_routable_count += usize::from(expect.is_some());
@@ -303,9 +316,10 @@ impl DispatchIndex {
 /// then the least-loaded accepting tier, then the least-loaded routable
 /// tier, each reduced by `min` over the partition answers. Every key a
 /// partition exposes embeds the *global* worker index, so the reduction
-/// reproduces the whole-fleet scan's `(outstanding, idx)`
-/// tie-break (and first-fit's leftmost-slot rule) exactly, no matter
-/// how the fleet is partitioned.
+/// reproduces the whole-fleet scan's `(outstanding, idx)` tie-break
+/// exactly for any partition; first-fit's leftmost-slot rule reduces
+/// exactly when each partition's slots run in increasing global order,
+/// as the engine's strided shards do.
 ///
 /// The function only *reads* the indices — it never mutates a worker or
 /// a tree — which is what lets the sharded coordinator resolve a whole
@@ -359,7 +373,7 @@ mod tests {
     fn filled(states: &[(bool, bool, u64)]) -> DispatchIndex {
         let mut index = DispatchIndex::new(states.len());
         for (idx, &(routable, accepting, outstanding)) in states.iter().enumerate() {
-            index.refresh(idx, routable, accepting, outstanding);
+            index.refresh(idx, idx, routable, accepting, outstanding);
         }
         index
     }
@@ -375,12 +389,13 @@ mod tests {
             (true, true, 9),
         ];
         let whole = filled(&states);
-        // Round-robin the same fleet across two fleet-width partitions.
-        let mut even = DispatchIndex::new(states.len());
-        let mut odd = DispatchIndex::new(states.len());
+        // Stride the same fleet across two partitions, each holding
+        // only its own workers: global `idx` sits in slot `idx / 2`.
+        let mut even = DispatchIndex::new(states.len().div_ceil(2));
+        let mut odd = DispatchIndex::new(states.len() / 2);
         for (idx, &(routable, accepting, outstanding)) in states.iter().enumerate() {
             let part = if idx % 2 == 0 { &mut even } else { &mut odd };
-            part.refresh(idx, routable, accepting, outstanding);
+            part.refresh(idx / 2, idx, routable, accepting, outstanding);
         }
         for cap in [None, Some(4), Some(2), Some(100)] {
             let mut v_single = 0u64;
@@ -411,9 +426,9 @@ mod tests {
     #[test]
     fn non_routable_workers_vanish_from_both_tiers() {
         let mut index = filled(&[(true, true, 0), (true, true, 0)]);
-        index.refresh(0, false, false, 0);
+        index.refresh(0, 0, false, false, 0);
         assert_eq!(index.least_loaded_accepting(), Some(1));
-        index.refresh(1, false, true, 0);
+        index.refresh(1, 1, false, true, 0);
         assert!(index.least_loaded_accepting().is_none());
         assert!(index.least_loaded_routable().is_none());
         assert!(!index.any_routable());
@@ -439,7 +454,7 @@ mod tests {
         let mut visits = 0;
         assert_eq!(index.first_fit(8, &mut visits), None);
         assert_eq!(visits, 1);
-        index.refresh(1, true, true, 7);
+        index.refresh(1, 1, true, true, 7);
         let mut visits = 0;
         assert_eq!(index.first_fit(8, &mut visits), Some(1));
     }
@@ -450,7 +465,7 @@ mod tests {
         let mut visits = 0;
         assert_eq!(index.first_fit(4, &mut visits), Some(1));
         // Worker 0 completes a request: the next descent finds it.
-        index.refresh(0, true, true, 3);
+        index.refresh(0, 0, true, true, 3);
         let mut visits = 0;
         assert_eq!(index.first_fit(4, &mut visits), Some(0));
     }
@@ -461,7 +476,7 @@ mod tests {
         let mut visits = 0;
         assert_eq!(index.first_fit(2, &mut visits), Some(1));
         // Reconfiguration completes; worker 0 accepts again.
-        index.refresh(0, true, true, 0);
+        index.refresh(0, 0, true, true, 0);
         let mut visits = 0;
         assert_eq!(index.first_fit(2, &mut visits), Some(0));
     }

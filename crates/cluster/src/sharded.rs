@@ -12,7 +12,8 @@
 //! * a [`KeyedEventQueue`] holding the worker-local event classes
 //!   ([`ShardEvent`]: container boots, job completions, reconfiguration
 //!   completions) and their handlers,
-//! * a fleet-width [`DispatchIndex`] populated only in its own slots,
+//! * a [`DispatchIndex`] with one slot per owned worker, keyed by
+//!   global worker index,
 //! * its slice of every output stream (metrics, journal, timelines,
 //!   engine stats).
 //!
@@ -309,7 +310,6 @@ struct ShardCore {
     shard: usize,
     /// Shard count (the stride of the worker partition).
     stride: usize,
-    /// Fleet width `W` (the dispatch index spans all slots).
     /// Owned workers, locally indexed: local `l` is global
     /// `shard + l * stride`. `Worker::idx` stays global.
     workers: Vec<Worker>,
@@ -319,7 +319,7 @@ struct ShardCore {
     /// is the same at every shard count.
     jitter_rngs: Vec<SimRng>,
     queue: KeyedEventQueue<ShardEvent>,
-    /// Fleet-width index with only this shard's slots populated; keys
+    /// Index over the owned workers, slot `l` for local worker `l`; keys
     /// carry global worker indices, so cross-shard reduction is a min
     /// over the per-shard roots.
     index: DispatchIndex,
@@ -355,8 +355,7 @@ impl ShardCore {
         scheme: &dyn SchemeBuilder,
         factory: &RngFactory,
     ) -> Self {
-        let total_slots = config.workers;
-        let globals: Vec<usize> = (shard..total_slots).step_by(stride).collect();
+        let globals: Vec<usize> = (shard..config.workers).step_by(stride).collect();
         let workers = globals
             .iter()
             .map(|&g| Worker::new(g, scheme.build(g), SimTime::ZERO))
@@ -371,7 +370,7 @@ impl ShardCore {
             workers,
             jitter_rngs,
             queue: KeyedEventQueue::new(),
-            index: DispatchIndex::new(total_slots),
+            index: DispatchIndex::new(globals.len()),
             metrics: if config.aggregate_metrics {
                 MetricsSet::aggregate()
             } else {
@@ -403,7 +402,7 @@ impl ShardCore {
     }
 
     fn refresh_index(&mut self, l: usize) {
-        self.index.refresh_worker(&self.workers[l]);
+        self.index.refresh_worker(l, &self.workers[l]);
     }
 
     fn journal(&mut self, ctx: &mut Ctx<'_>, ev: JournalEvent) {
@@ -1318,13 +1317,15 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Cross-shard reduction of the per-shard dispatch indices. Every
-    /// shard's index is fleet-width with keys carrying global worker
-    /// indices, so [`crate::dispatch::select_across`]'s min-over-roots
-    /// reduction equals the fleet-wide scan: first-fit picks
-    /// the smallest global index any shard can seat (each shard's
-    /// descent is leftmost over its own slots), and the least-loaded
-    /// tiers pick the min `(outstanding, idx)` root. Decision-only —
+    /// Cross-shard reduction of the per-shard dispatch indices. Each
+    /// shard's index spans only its own workers, in local order, with
+    /// keys carrying global worker indices; local and global order
+    /// agree inside a shard (`g = shard + l·S`), so
+    /// [`crate::dispatch::select_across`]'s min-over-roots reduction
+    /// equals the fleet-wide scan: first-fit picks the smallest global
+    /// index any shard can seat (each shard's descent is leftmost over
+    /// its own slots), and the least-loaded tiers pick the min
+    /// `(outstanding, idx)` root. Decision-only —
     /// mutation (worker state + index refresh) happens strictly after,
     /// which is what makes resolving a whole arrival run's decisions in
     /// serial order between phases hazard-free.
@@ -1497,10 +1498,7 @@ impl<'a> Coordinator<'a> {
         let mut problems: Vec<String> = Vec::new();
         for s in 0..self.shards() {
             let core = self.core(s);
-            problems.extend(
-                core.index
-                    .verify_partition(self.total_workers(), core.workers.iter()),
-            );
+            problems.extend(core.index.verify_partition(&core.workers));
         }
         let fleet: Vec<&Worker> = self.fleet().collect();
         self.audit
@@ -2650,5 +2648,33 @@ mod tests {
         let t = trace(100.0, 20.0, 0.5);
         let r = run_simulation(&config, &AlwaysLargest, &t);
         assert!(r.metrics.count(Class::All) > 0);
+    }
+
+    /// Each shard's dispatch index is sized to the workers it owns —
+    /// together the shards hold `W` slots, not `S·W` — including when
+    /// `S` does not divide `W`, and its keys name global workers.
+    #[test]
+    fn each_shard_index_spans_exactly_its_owned_workers() {
+        let mut config = ClusterConfig::small_test();
+        config.workers = 10;
+        let factory = RngFactory::new(config.seed);
+        for shards in [1, 3, 8] {
+            for s in 0..shards {
+                let mut core = ShardCore::new(s, shards, &config, &AlwaysLargest, &factory);
+                let owned = (s..config.workers).step_by(shards).count();
+                assert_eq!(core.workers.len(), owned, "S = {shards}, shard {s}");
+                for l in 0..owned {
+                    core.refresh_index(l);
+                }
+                // `verify_partition` flags any index whose width is not
+                // the owned worker count, and any key naming a worker
+                // in the wrong slot.
+                let problems = core.index.verify_partition(&core.workers);
+                assert!(problems.is_empty(), "S = {shards}, shard {s}: {problems:?}");
+                // Idle fleet: the least-loaded tie breaks to the shard's
+                // lowest global index, its first owned worker.
+                assert_eq!(core.index.least_loaded_routable(), Some(s));
+            }
+        }
     }
 }

@@ -35,6 +35,7 @@
 //! assert_eq!(SpotAvailability::Low.revocation_probability(), 0.708);
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 
 use protean_sim::{SimDuration, SimRng, SimTime};
@@ -310,13 +311,16 @@ pub struct VmId(pub u64);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct LedgerEntry {
-    vm: VmId,
     tier: VmTier,
     started: SimTime,
     ended: Option<SimTime>,
 }
 
 /// Integrates dollar cost over VM lifetimes, per tier.
+///
+/// `open`, `close` and `open_count` are O(1): entries stay in insertion
+/// order (so cost sums add the same floats in the same order), and an
+/// open-entry map finds a VM's live entry without scanning the history.
 ///
 /// # Example
 ///
@@ -334,7 +338,10 @@ struct LedgerEntry {
 pub struct VmLedger {
     pricing: PricingTable,
     provider: Provider,
+    /// Every entry ever opened, in insertion order.
     entries: Vec<LedgerEntry>,
+    /// Open VMs → their entry's position in `entries`.
+    open: HashMap<VmId, usize>,
     next_id: u64,
     misuse_events: u64,
 }
@@ -346,6 +353,7 @@ impl VmLedger {
             pricing,
             provider,
             entries: Vec::new(),
+            open: HashMap::new(),
             next_id: 0,
             misuse_events: 0,
         }
@@ -369,15 +377,15 @@ impl VmLedger {
     ///
     /// Panics in debug builds if `vm` is already open.
     pub fn open(&mut self, vm: VmId, tier: VmTier, now: SimTime) {
-        if self.entries.iter().any(|e| e.vm == vm && e.ended.is_none()) {
+        if self.open.contains_key(&vm) {
             // Tally before asserting so the count survives a caught
             // debug panic identically to the release no-op.
             self.misuse_events += 1;
             debug_assert!(false, "VM {vm:?} is already open");
             return;
         }
+        self.open.insert(vm, self.entries.len());
         self.entries.push(LedgerEntry {
-            vm,
             tier,
             started: now,
             ended: None,
@@ -397,15 +405,12 @@ impl VmLedger {
     /// Panics in debug builds if `vm` has no open entry or `now` precedes
     /// its open time.
     pub fn close(&mut self, vm: VmId, now: SimTime) {
-        let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.vm == vm && e.ended.is_none())
-        else {
+        let Some(pos) = self.open.remove(&vm) else {
             self.misuse_events += 1;
             debug_assert!(false, "VM {vm:?} is not open");
             return;
         };
+        let entry = &mut self.entries[pos];
         if now < entry.started {
             let started = entry.started;
             entry.ended = Some(started);
@@ -446,7 +451,7 @@ impl VmLedger {
 
     /// Count of currently open VMs.
     pub fn open_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.ended.is_none()).count()
+        self.open.len()
     }
 
     /// Total evicted/closed VM count by tier (for reporting).
@@ -647,6 +652,180 @@ mod tests {
             let mid = SimTime::from_secs(t.as_secs_f64() / 2.0);
             prop_assert!(l.total_cost(mid) <= l.total_cost(t) + 1e-9);
             prop_assert!(l.total_cost(t) >= 0.0);
+        }
+    }
+
+    /// The linear-scan ledger the O(1) one replaced, kept as a reference
+    /// model: every lookup scans the whole history for the VM's open
+    /// entry. Misuse is tallied exactly as in [`VmLedger`] (no panics).
+    struct ScanLedger {
+        pricing: PricingTable,
+        provider: Provider,
+        entries: Vec<(VmId, LedgerEntry)>,
+        misuse_events: u64,
+    }
+
+    impl ScanLedger {
+        fn new(pricing: PricingTable, provider: Provider) -> Self {
+            ScanLedger {
+                pricing,
+                provider,
+                entries: Vec::new(),
+                misuse_events: 0,
+            }
+        }
+
+        fn open(&mut self, vm: VmId, tier: VmTier, now: SimTime) {
+            if self
+                .entries
+                .iter()
+                .any(|(v, e)| *v == vm && e.ended.is_none())
+            {
+                self.misuse_events += 1;
+                return;
+            }
+            let entry = LedgerEntry {
+                tier,
+                started: now,
+                ended: None,
+            };
+            self.entries.push((vm, entry));
+        }
+
+        fn close(&mut self, vm: VmId, now: SimTime) {
+            let Some((_, entry)) = self
+                .entries
+                .iter_mut()
+                .find(|(v, e)| *v == vm && e.ended.is_none())
+            else {
+                self.misuse_events += 1;
+                return;
+            };
+            if now < entry.started {
+                entry.ended = Some(entry.started);
+                self.misuse_events += 1;
+                return;
+            }
+            entry.ended = Some(now);
+        }
+
+        fn cost_by_tier(&self, tier: VmTier, now: SimTime) -> f64 {
+            let hourly = self.pricing.worker_price(self.provider, tier);
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.tier == tier)
+                .map(|(_, e)| {
+                    let end = e.ended.unwrap_or(now).min(now);
+                    end.saturating_since(e.started).as_secs_f64() / 3600.0 * hourly
+                })
+                .sum()
+        }
+
+        fn open_count(&self) -> usize {
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.ended.is_none())
+                .count()
+        }
+
+        fn closed_count(&self, tier: VmTier) -> usize {
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.tier == tier && e.ended.is_some())
+                .count()
+        }
+    }
+
+    /// One ledger operation: `(close?, vm id, spot?, time in seconds)`.
+    type Op = (bool, u64, bool, u64);
+
+    /// Applies `ops` to both ledgers, checking the counters after every
+    /// step and the cost queries at the end, bit for bit, including one
+    /// query a second before the first open.
+    fn assert_ledgers_agree(ops: &[Op]) -> Result<(), String> {
+        let provider = Provider::Gcp;
+        let mut fast = VmLedger::new(PricingTable::paper_table3(), provider);
+        let mut scan = ScanLedger::new(PricingTable::paper_table3(), provider);
+        let mut last = 0;
+        for &(close, id, spot, secs) in ops {
+            let (vm, now) = (VmId(id), SimTime::from_secs(secs as f64));
+            let tier = if spot { VmTier::Spot } else { VmTier::OnDemand };
+            if close {
+                fast.close(vm, now);
+                scan.close(vm, now);
+            } else {
+                fast.open(vm, tier, now);
+                scan.open(vm, tier, now);
+            }
+            last = last.max(secs);
+            prop_assert_eq!(fast.open_count(), scan.open_count());
+            prop_assert_eq!(fast.misuse_events(), scan.misuse_events);
+            for tier in [VmTier::OnDemand, VmTier::Spot] {
+                prop_assert_eq!(fast.closed_count(tier), scan.closed_count(tier));
+            }
+        }
+        let before_first = ops.iter().filter(|op| !op.0).map(|op| op.3).min();
+        let mut queries = vec![0, last / 2, last, last + 3600];
+        queries.extend(before_first.and_then(|t| t.checked_sub(1)));
+        for secs in queries {
+            let now = SimTime::from_secs(secs as f64);
+            for tier in [VmTier::OnDemand, VmTier::Spot] {
+                prop_assert_eq!(
+                    fast.cost_by_tier(tier, now).to_bits(),
+                    scan.cost_by_tier(tier, now).to_bits()
+                );
+            }
+            prop_assert_eq!(
+                fast.total_cost(now).to_bits(),
+                (scan.cost_by_tier(VmTier::OnDemand, now) + scan.cost_by_tier(VmTier::Spot, now))
+                    .to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Valid open/close/re-open sequences on a small id space: the
+        /// O(1) ledger matches the linear-scan reference bit for bit.
+        /// Each step toggles its VM (open if closed, close if open) at
+        /// a non-decreasing time, so no step is misuse and debug builds
+        /// run it too.
+        #[test]
+        fn prop_ledger_matches_linear_scan_reference(
+            steps in proptest::collection::vec((0u64..5, prop::bool::ANY, 0u64..4000), 1..80),
+        ) {
+            let mut open = [false; 5];
+            let mut t = 1;
+            let mut ops = Vec::new();
+            for (id, spot, dt) in steps {
+                t += dt;
+                let close = open[id as usize];
+                open[id as usize] = !close;
+                ops.push((close, id, spot, t));
+            }
+            assert_ledgers_agree(&ops)?;
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The same differential with every misuse edge mixed in: double
+        /// opens, closes of unknown or already-closed VMs, and closes
+        /// timestamped before their open (times are drawn out of order).
+        /// Release builds tally and saturate each edge; both ledgers must
+        /// do so identically.
+        #[test]
+        fn prop_ledger_matches_linear_scan_reference_under_misuse(
+            ops in proptest::collection::vec(
+                (prop::bool::ANY, 0u64..5, prop::bool::ANY, 0u64..20_000),
+                1..80,
+            ),
+        ) {
+            assert_ledgers_agree(&ops)?;
         }
     }
 }

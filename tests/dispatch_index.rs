@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use protean::ProteanBuilder;
 use protean_baselines::Baseline;
 use protean_cluster::{
-    run_simulation_with_oracle, ClusterConfig, DispatchIndex, SchemeBuilder, ScriptedMarket,
+    run_simulation_with_oracle, select_across, ClusterConfig, DispatchIndex, SchemeBuilder,
+    ScriptedMarket,
 };
 use protean_experiments::golden;
 use protean_models::ModelId;
@@ -52,8 +53,21 @@ fn linear_first_fit(slots: &[Slot], cap: u64) -> Option<usize> {
         .position(|s| s.routable && s.accepting && s.outstanding < cap)
 }
 
+/// The whole dispatch cascade over the linear reference: first-fit
+/// under `cap` (if set), then least-loaded accepting, then least-loaded
+/// routable.
+fn linear_select(slots: &[Slot], cap: Option<u64>) -> Option<usize> {
+    cap.and_then(|cap| linear_first_fit(slots, cap))
+        .or_else(|| linear_least_loaded(slots, true))
+        .or_else(|| linear_least_loaded(slots, false))
+}
+
 /// First-fit caps representative of `cap_batches × batch_size` products.
 const CAPS: [u64; 4] = [1, 8, 80, 320];
+
+/// Shard count of the partitioned arm: it does not divide the 8-slot
+/// fleet, so the shard-local indices differ in width.
+const SHARDS: usize = 3;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,7 +75,10 @@ proptest! {
     /// Random interleavings of the engine's mutation points — dispatch
     /// load, completions, eviction notice, final eviction, VM install,
     /// reconfig drain/complete — must leave every index query equal to
-    /// the linear reference, including the first-fit root descent.
+    /// the linear reference, including the first-fit root descent. A
+    /// partitioned arm strides the same fleet over shard-local indices
+    /// (worker `g` in slot `g / S` of shard `g % S`), as the engine
+    /// does, and its cross-shard reduction must agree too.
     #[test]
     fn prop_index_matches_linear_reference(
         ops in prop::collection::vec((0usize..8, 0u32..6, 1u64..40), 1..120),
@@ -72,8 +89,12 @@ proptest! {
             n
         ];
         let mut index = DispatchIndex::new(n);
+        let mut shards: Vec<DispatchIndex> = (0..SHARDS)
+            .map(|s| DispatchIndex::new((s..n).step_by(SHARDS).count()))
+            .collect();
         for (idx, s) in slots.iter().enumerate() {
-            index.refresh(idx, s.routable, s.accepting, s.outstanding);
+            index.refresh(idx, idx, s.routable, s.accepting, s.outstanding);
+            shards[idx % SHARDS].refresh(idx / SHARDS, idx, s.routable, s.accepting, s.outstanding);
         }
         for (w, kind, amount) in ops {
             let s = &mut slots[w];
@@ -103,7 +124,8 @@ proptest! {
                 _ => s.accepting = !s.accepting,
             }
             let s = slots[w];
-            index.refresh(w, s.routable, s.accepting, s.outstanding);
+            index.refresh(w, w, s.routable, s.accepting, s.outstanding);
+            shards[w % SHARDS].refresh(w / SHARDS, w, s.routable, s.accepting, s.outstanding);
 
             prop_assert_eq!(
                 index.least_loaded_accepting(),
@@ -120,6 +142,14 @@ proptest! {
                     index.first_fit(cap, &mut visits),
                     linear_first_fit(&slots, cap),
                     "first-fit diverged at cap {}", cap
+                );
+            }
+            for cap in std::iter::once(None).chain(CAPS.map(Some)) {
+                let mut visits = 0;
+                prop_assert_eq!(
+                    select_across(shards.iter(), cap, &mut visits),
+                    linear_select(&slots, cap),
+                    "partitioned cascade diverged at cap {:?}", cap
                 );
             }
         }
@@ -253,7 +283,7 @@ fn consolidate_descent_honors_cap_exactly_at_the_boundary() {
     ];
     slots[1].outstanding = cap - 1;
     for (idx, s) in slots.iter().enumerate() {
-        index.refresh(idx, s.routable, s.accepting, s.outstanding);
+        index.refresh(idx, idx, s.routable, s.accepting, s.outstanding);
     }
     let mut visits = 0;
     // Worker 0 sits exactly at the cap: full. Worker 1 is one below.
@@ -261,14 +291,14 @@ fn consolidate_descent_honors_cap_exactly_at_the_boundary() {
     assert_eq!(linear_first_fit(&slots, cap), Some(1));
     // One more request saturates worker 1 too.
     slots[1].outstanding = cap;
-    index.refresh(1, true, true, cap);
+    index.refresh(1, 1, true, true, cap);
     let mut visits = 0;
     assert_eq!(index.first_fit(cap, &mut visits), None);
     assert_eq!(linear_first_fit(&slots, cap), None);
     // A single completion on worker 0 re-opens it: the next descent
     // lands back on the lowest index.
     slots[0].outstanding = cap - 1;
-    index.refresh(0, true, true, cap - 1);
+    index.refresh(0, 0, true, true, cap - 1);
     let mut visits = 0;
     assert_eq!(index.first_fit(cap, &mut visits), Some(0));
     assert_eq!(linear_first_fit(&slots, cap), Some(0));
