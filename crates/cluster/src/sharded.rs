@@ -95,14 +95,14 @@
 //!   reconfigs, censored, evictions) merge exactly.
 
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use protean_gpu::{JobId, JobSpec};
 use protean_metrics::{LatencyBreakdown, MetricsSet, RequestRecord};
 use protean_models::{Catalog, ModelId};
 use protean_sim::{
-    EventKey, KeyedEventQueue, RngFactory, SimDuration, SimRng, SimTime, TimeSeries,
+    EventKey, FastHashMap, KeyedEventQueue, RngFactory, SimDuration, SimRng, SimTime, TimeSeries,
 };
 use protean_spot::{PricingTable, ProcurementPolicy, SpotOracle, VmId, VmLedger, VmTier};
 use protean_trace::{Lookahead, Request, Trace, TraceConfig, TraceStream};
@@ -931,7 +931,7 @@ struct Coordinator<'a> {
     epoch: u64,
     market: &'a mut dyn SpotOracle,
     ledger: VmLedger,
-    accumulators: HashMap<(ModelId, bool), Accumulator>,
+    accumulators: FastHashMap<(ModelId, bool), Accumulator>,
     backlog: VecDeque<Batch>,
     coord_queue: KeyedEventQueue<CoordEvent>,
     /// Global serial push counter — the insertion counter of one
@@ -978,7 +978,7 @@ impl<'a> Coordinator<'a> {
             epoch: 0,
             market,
             ledger: VmLedger::new(PricingTable::paper_table3(), config.provider),
-            accumulators: HashMap::new(),
+            accumulators: FastHashMap::default(),
             backlog: VecDeque::new(),
             coord_queue: KeyedEventQueue::new(),
             gseq: 0,

@@ -1,11 +1,11 @@
 //! Per-worker-node state: VM binding, GPU, batch accumulators,
 //! container pools and the (optionally strict-priority) scheduler queue.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use protean_gpu::Gpu;
 use protean_models::{Catalog, ModelId};
-use protean_sim::SimTime;
+use protean_sim::{FastHashMap, SimTime};
 use protean_spot::{VmId, VmTier};
 
 use crate::batch::{Batch, BatchId};
@@ -206,13 +206,13 @@ pub struct Worker {
     /// against this counter rather than `epoch`.
     pub vm_epoch: u64,
     /// Sealed batches waiting for a container, per model.
-    pub wait_container: HashMap<ModelId, VecDeque<Batch>>,
+    pub wait_container: FastHashMap<ModelId, VecDeque<Batch>>,
     /// Container pools per model.
-    pub pools: HashMap<ModelId, Pool>,
+    pub pools: FastHashMap<ModelId, Pool>,
     /// Batches with containers awaiting slice placement.
     pub sched_queue: SchedQueue,
     /// Batches executing on the GPU.
-    pub running: HashMap<BatchId, RunningBatch>,
+    pub running: FastHashMap<BatchId, RunningBatch>,
     /// Requests assigned to this worker and not yet completed (load
     /// metric for the dispatcher).
     pub outstanding: u64,
@@ -266,10 +266,10 @@ impl Worker {
             gpu,
             epoch: 0,
             vm_epoch: 0,
-            wait_container: HashMap::new(),
-            pools: HashMap::new(),
+            wait_container: FastHashMap::default(),
+            pools: FastHashMap::default(),
             sched_queue: SchedQueue::new(reorders),
-            running: HashMap::new(),
+            running: FastHashMap::default(),
             outstanding: 0,
             window_batches: BTreeMap::new(),
             predicted_batches: BTreeMap::new(),
@@ -319,16 +319,22 @@ impl Worker {
         debug_assert!(self.running.is_empty(), "reset with running batches");
     }
 
-    /// Pulls every batch held anywhere in this worker's pipeline
-    /// (container waits, scheduler queue, running batches) for
-    /// re-dispatch after an eviction.
+    /// Pulls every batch held anywhere in this worker's pipeline for
+    /// re-dispatch after an eviction, in a fixed order: container waits
+    /// (all models) by ascending `BatchId`, then the scheduler queue in
+    /// service order, then running batches by ascending `BatchId`. The
+    /// two maps' own iteration order never reaches the caller, so the
+    /// re-dispatch order is a function of the worker's contents alone.
     pub fn drain_all_batches(&mut self) -> Vec<Batch> {
         let mut out = Vec::new();
         for q in self.wait_container.values_mut() {
             out.extend(q.drain(..));
         }
+        out.sort_unstable_by_key(|b| b.id);
         out.extend(self.sched_queue.drain_all());
+        let first_running = out.len();
         out.extend(self.running.drain().map(|(_, rb)| rb.batch));
+        out[first_running..].sort_unstable_by_key(|b| b.id);
         self.outstanding = 0;
         out
     }
@@ -438,6 +444,46 @@ mod tests {
         assert_eq!(reqs.len(), 2);
         assert_eq!(w.outstanding, 0);
         assert!(w.sched_queue.is_empty());
+    }
+
+    #[test]
+    fn drain_all_batches_order_is_fixed() {
+        // Orphans of an eviction are re-dispatched in drain order, so it
+        // must not depend on how the maps happen to iterate: waits of
+        // several models by ascending id, the scheduler queue in service
+        // order, then running batches by ascending id.
+        let mut w = Worker::new(0, Box::new(AlwaysLargest), SimTime::ZERO);
+        let waits = [
+            (ModelId::Bert, vec![17, 4]),
+            (ModelId::Vgg19, vec![9]),
+            (ModelId::ResNet50, vec![12, 2]),
+        ];
+        for (model, ids) in waits {
+            let q = w.wait_container.entry(model).or_default();
+            for id in ids {
+                q.push_back(Batch {
+                    model,
+                    ..batch(id, false)
+                });
+            }
+        }
+        w.sched_queue.push(batch(30, false), 4.0);
+        w.sched_queue.push(batch(1, true), 0.0);
+        for id in [21, 5, 40, 8] {
+            let running = RunningBatch {
+                batch: batch(id, true),
+                slice: 0,
+                exec_start: SimTime::ZERO,
+                solo_on_slice_ms: 1.0,
+                solo_7g_ms: 1.0,
+            };
+            w.running.insert(BatchId(id), running);
+        }
+        w.outstanding = 13;
+        let order: Vec<u64> = w.drain_all_batches().iter().map(|b| b.id.0).collect();
+        assert_eq!(order, vec![2, 4, 9, 12, 17, 1, 30, 5, 8, 21, 40]);
+        assert!(w.wait_container.values().all(VecDeque::is_empty));
+        assert!(w.running.is_empty());
     }
 
     proptest::proptest! {

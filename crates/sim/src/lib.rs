@@ -5,10 +5,14 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated
 //!   clock with saturating arithmetic and convenient conversions.
-//! * [`KeyedEventQueue`] — a priority queue of events stamped with an
+//! * [`KeyedEventQueue`] — a calendar queue of events stamped with an
 //!   explicit [`EventKey`] `(time, major, minor)`, so events scheduled
 //!   at the same instant pop in a deterministic, caller-defined order
 //!   (FIFO under one insertion counter) even across several queues.
+//! * [`hash`] — [`FastHashMap`], a `HashMap` with an unseeded
+//!   multiplicative hasher for the engine's small integer keys: cheaper
+//!   probes than SipHash, and an iteration order that is the same in
+//!   every run.
 //! * [`rng`] — seeded, labelled random-number streams so that independent
 //!   stochastic processes (arrivals, evictions, model rotation, …) can be
 //!   re-run bit-for-bit identically and varied independently.
@@ -36,12 +40,14 @@
 //! ```
 
 pub mod ewma;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod time;
 
 pub use ewma::Ewma;
+pub use hash::FastHashMap;
 pub use queue::{EventKey, KeyedEventQueue};
 pub use rng::{RngFactory, SimRng};
 pub use series::{Accumulator, TimeSeries};
